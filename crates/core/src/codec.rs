@@ -28,10 +28,10 @@
 //! (`crate::intern`), after which every per-record string resolve is an
 //! index into an already-loaded `Vec<Sym>`.
 //!
-//! Integrity: [`Ffb::parse`] verifies magic, schema version, section
-//! bounds, and the checksum, so any single-byte corruption of a stored
-//! file is rejected as an error — decoding never panics on hostile
-//! bytes. The build tag is *not* checked by `parse` (so `diogenes
+//! Integrity: [`FfbView::parse`] verifies magic, schema version,
+//! section bounds, and the checksum, so any single-byte corruption of a
+//! stored file is rejected as an error — decoding never panics on
+//! hostile bytes. The build tag is *not* checked by `parse` (so `diogenes
 //! convert` can read files from other builds); the artifact-cache path
 //! ([`decode_artifact`]) does check it, preserving the store's rule that
 //! a rebuilt binary never trusts an old cache.
@@ -80,8 +80,8 @@ pub const SEC_SWEEP_HEADER: u32 = 4;
 /// Section id: sweep cells, one column per field.
 pub const SEC_SWEEP_CELLS: u32 = 5;
 
-/// Containers hold a handful of sections; the cap keeps [`Ffb::parse`]
-/// allocation-free (the section table lives in a fixed array).
+/// Containers hold a handful of sections; the cap keeps
+/// [`FfbView::parse`] allocation-free (the section table lives in a fixed array).
 pub const MAX_SECTIONS: usize = 8;
 
 /// Fixed header length in bytes (magic + version + build tag + checksum
@@ -123,21 +123,28 @@ pub enum HeaderIssue {
 /// without paying a full-file read for data it will discard, and keeps
 /// `scan_cache` O(header) per file.
 pub fn check_entry_header(header: &[u8]) -> Result<(), HeaderIssue> {
-    if header.len() < HEADER_LEN {
-        return Err(HeaderIssue::Corrupt(format!("truncated header ({} bytes)", header.len())));
+    check_prefix(header)?;
+    let tag = u64::from_le_bytes(header[12..CHECKSUM_AT].try_into().unwrap());
+    if tag != build_tag() {
+        return Err(HeaderIssue::Stale("written by a different build".to_string()));
     }
-    if &header[..8] != FFB_MAGIC {
+    Ok(())
+}
+
+/// Length, magic and schema version — the fixed-prefix checks shared by
+/// [`FfbView::parse`] and [`check_entry_header`].
+fn check_prefix(bytes: &[u8]) -> Result<(), HeaderIssue> {
+    if bytes.len() < HEADER_LEN {
+        return Err(HeaderIssue::Corrupt(format!("truncated header ({} bytes)", bytes.len())));
+    }
+    if &bytes[..8] != FFB_MAGIC {
         return Err(HeaderIssue::Corrupt("bad magic".to_string()));
     }
-    let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
+    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     if version != SCHEMA_VERSION {
         return Err(HeaderIssue::Stale(format!(
             "schema version {version}, expected {SCHEMA_VERSION}"
         )));
-    }
-    let tag = u64::from_le_bytes(header[12..CHECKSUM_AT].try_into().unwrap());
-    if tag != build_tag() {
-        return Err(HeaderIssue::Stale("written by a different build".to_string()));
     }
     Ok(())
 }
@@ -225,47 +232,6 @@ impl ChecksumStream {
 // Container writer / reader
 // ---------------------------------------------------------------------------
 
-/// Assembles an FFB container: append sections, then [`finish`].
-///
-/// [`finish`]: FfbBuilder::finish
-pub struct FfbBuilder {
-    kind: u8,
-    sections: Vec<(u32, Vec<u8>)>,
-}
-
-impl FfbBuilder {
-    pub fn new(kind: u8) -> Self {
-        FfbBuilder { kind, sections: Vec::new() }
-    }
-
-    pub fn section(&mut self, id: u32, payload: Vec<u8>) {
-        assert!(self.sections.len() < MAX_SECTIONS, "too many FFB sections");
-        self.sections.push((id, payload));
-    }
-
-    /// Serialize header + section table + payloads and stamp the checksum.
-    pub fn finish(self) -> Vec<u8> {
-        let body: usize = self.sections.iter().map(|(_, p)| p.len()).sum();
-        let mut out = Vec::with_capacity(HEADER_LEN + 12 * self.sections.len() + body);
-        out.extend_from_slice(FFB_MAGIC);
-        out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-        out.extend_from_slice(&build_tag().to_le_bytes());
-        out.extend_from_slice(&[0u8; 8]); // checksum placeholder
-        out.push(self.kind);
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for (id, payload) in &self.sections {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        }
-        for (_, payload) in &self.sections {
-            out.extend_from_slice(payload);
-        }
-        let ck = checksum(&out[KIND_AT..]);
-        out[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&ck.to_le_bytes());
-        out
-    }
-}
-
 /// Bytes [`FfbWriter`] accumulates before flushing to the stream; also
 /// the chunk size of the checksum read-back pass.
 const WRITER_CHUNK: usize = 64 * 1024;
@@ -277,11 +243,11 @@ fn io_err(what: &str, e: std::io::Error) -> String {
 /// Streaming FFB container writer: declare the section ids up front,
 /// stream each payload through [`begin_section`] / [`write`] /
 /// [`end_section`] (or [`section`] for a one-slice section), then
-/// [`finish`]. Output is byte-identical to [`FfbBuilder::finish`] over
-/// the same sections — pinned by unit tests and `codec_props` — but the
-/// container is never assembled in memory: sections go straight to the
-/// stream through a 64 KiB chunk buffer, so `sweep --format bin` and
-/// streaming-epoch runs can flush finished cells/epochs as they close.
+/// [`finish`]. It is the only container writer — the one-shot encoders
+/// run it over an in-memory cursor, and its bytes are pinned by a golden
+/// unit test. Sections go straight to the stream through a 64 KiB chunk
+/// buffer, so `sweep --format bin` and streaming-epoch runs can flush
+/// finished cells/epochs as they close.
 ///
 /// `W` must be `Read + Write + Seek` (a read-write file, or an
 /// `io::Cursor`): the container checksum covers the section *table*,
@@ -437,37 +403,36 @@ impl<W: std::io::Read + std::io::Write + std::io::Seek> FfbWriter<W> {
     }
 }
 
-/// A parsed (but not decoded) FFB container: validated header, checksum,
-/// and section bounds. Parsing allocates nothing — the section table is
-/// a fixed array — so scratch readers built on it stay allocation-free.
-pub struct Ffb<'a> {
-    pub kind: u8,
-    pub build_tag: u64,
+/// The one container parser: a validated borrowed view over a
+/// caller-owned buffer — a mapped file, a pooled disk read, or an
+/// in-place request body. [`FfbView::parse`] validates the header,
+/// checksum, and section bounds once, allocating nothing (the section
+/// table is a fixed array); after that, section payloads, the interned
+/// string table ([`FfbView::strings_into`]), and typed columns
+/// ([`Dec::col_u64`]) come straight out of the buffer with no scratch
+/// `Vec` per section. No alignment is assumed anywhere (see [`ColU64`]),
+/// so the buffer can start at any offset.
+pub struct FfbView<'a> {
+    kind: u8,
+    build_tag: u64,
     bytes: &'a [u8],
     count: usize,
     sections: [(u32, usize, usize); MAX_SECTIONS],
 }
 
-impl<'a> Ffb<'a> {
+impl<'a> FfbView<'a> {
     /// Validate magic, schema version, checksum, and the section table.
     /// Every failure is an `Err`; hostile input can never panic past
     /// this point because all section slices are bounds-checked here.
-    pub fn parse(bytes: &'a [u8]) -> Result<Ffb<'a>, String> {
-        if bytes.len() < HEADER_LEN {
-            return Err(format!("ffb: truncated header ({} bytes)", bytes.len()));
-        }
-        if &bytes[..8] != FFB_MAGIC {
-            return Err("ffb: bad magic".to_string());
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != SCHEMA_VERSION {
-            return Err(format!("ffb: schema version {version}, expected {SCHEMA_VERSION}"));
-        }
+    pub fn parse(bytes: &'a [u8]) -> Result<FfbView<'a>, String> {
+        check_prefix(bytes).map_err(|(HeaderIssue::Stale(why) | HeaderIssue::Corrupt(why))| {
+            format!("ffb: {why}")
+        })?;
         let stored = u64::from_le_bytes(bytes[CHECKSUM_AT..CHECKSUM_AT + 8].try_into().unwrap());
         if stored != checksum(&bytes[KIND_AT..]) {
             return Err("ffb: checksum mismatch (corrupt file)".to_string());
         }
-        let build = u64::from_le_bytes(bytes[12..CHECKSUM_AT].try_into().unwrap());
+        let build_tag = u64::from_le_bytes(bytes[12..CHECKSUM_AT].try_into().unwrap());
         let kind = bytes[KIND_AT];
         let count = u32::from_le_bytes(bytes[KIND_AT + 1..HEADER_LEN].try_into().unwrap()) as usize;
         if count > MAX_SECTIONS {
@@ -492,7 +457,18 @@ impl<'a> Ffb<'a> {
         if offset != bytes.len() {
             return Err(format!("ffb: {} trailing bytes after sections", bytes.len() - offset));
         }
-        Ok(Ffb { kind, build_tag: build, bytes, count, sections })
+        Ok(FfbView { kind, build_tag, bytes, count, sections })
+    }
+
+    /// The container's kind byte.
+    pub fn kind(&self) -> u8 {
+        self.kind
+    }
+
+    /// The producing binary's build tag (not integrity-checked; the
+    /// artifact-cache path compares it against [`build_tag`]).
+    pub fn build_tag(&self) -> u64 {
+        self.build_tag
     }
 
     /// Payload of the first section with `id`.
@@ -503,47 +479,12 @@ impl<'a> Ffb<'a> {
             .map(|&(_, start, len)| &self.bytes[start..start + len])
             .ok_or_else(|| format!("ffb: missing section {id}"))
     }
-}
-
-/// The borrowed decode layer over a caller-owned buffer — a mapped
-/// file, a pooled disk read, or an in-place request body. One
-/// [`Ffb::parse`] validates the header, checksum, and section bounds;
-/// after that, section payloads, the interned string table
-/// ([`FfbView::strings_into`]), and typed columns ([`Dec::col_u64`])
-/// come straight out of the buffer with no scratch `Vec` per section.
-/// No alignment is assumed anywhere (see [`ColU64`]), so the buffer can
-/// start at any offset.
-pub struct FfbView<'a> {
-    ffb: Ffb<'a>,
-}
-
-impl<'a> FfbView<'a> {
-    /// Validate once; every later accessor is a bounds-checked borrow.
-    pub fn parse(bytes: &'a [u8]) -> Result<FfbView<'a>, String> {
-        Ok(FfbView { ffb: Ffb::parse(bytes)? })
-    }
-
-    /// The container's kind byte.
-    pub fn kind(&self) -> u8 {
-        self.ffb.kind
-    }
-
-    /// The producing binary's build tag (not integrity-checked; the
-    /// artifact-cache path compares it against [`build_tag`]).
-    pub fn build_tag(&self) -> u64 {
-        self.ffb.build_tag
-    }
-
-    /// Payload of the first section with `id`.
-    pub fn section(&self, id: u32) -> Result<&'a [u8], String> {
-        self.ffb.section(id)
-    }
 
     /// `Err` unless the container carries `kind` (`what` names the
     /// expected kind in the message).
     pub fn expect_kind(&self, kind: u8, what: &str) -> Result<(), String> {
-        if self.ffb.kind != kind {
-            return Err(format!("not a {what} container (kind {})", self.ffb.kind));
+        if self.kind != kind {
+            return Err(format!("not a {what} container (kind {})", self.kind));
         }
         Ok(())
     }
@@ -932,9 +873,21 @@ impl StrTable {
 // Artifact payloads (stage-cache entries)
 // ---------------------------------------------------------------------------
 
-/// Build the string-table and records payloads for a stage artifact.
-/// `None` for memory-only kinds (analysis).
-fn artifact_sections(artifact: &Artifact) -> Option<(StrTableBuilder, Enc)> {
+/// Encode a stage artifact as a complete FFB container. `None` for
+/// memory-only kinds (analysis).
+pub fn encode_artifact(artifact: &Artifact) -> Option<Vec<u8>> {
+    let mut cur = std::io::Cursor::new(Vec::new());
+    let written = write_artifact_to(&mut cur, artifact).expect("in-memory FFB write cannot fail");
+    written.then(|| cur.into_inner())
+}
+
+/// Stream a stage artifact to `w` as an FFB container without ever
+/// assembling the container in memory (the store's disk-write path).
+/// `Ok(false)` — with the stream untouched — for memory-only kinds.
+pub fn write_artifact_to<W: std::io::Read + std::io::Write + std::io::Seek>(
+    w: W,
+    artifact: &Artifact,
+) -> Result<bool, String> {
     let mut st = StrTableBuilder::new();
     let mut e = Enc::default();
     match artifact {
@@ -943,32 +896,8 @@ fn artifact_sections(artifact: &Artifact) -> Option<(StrTableBuilder, Enc)> {
         Artifact::Stage2(s) => enc_stage2(&mut e, &mut st, s),
         Artifact::Stage3(s) => enc_stage3(&mut e, &mut st, s),
         Artifact::Stage4(s) => enc_stage4(&mut e, s),
-        Artifact::Analysis(_) => return None, // memory-only
+        Artifact::Analysis(_) => return Ok(false), // memory-only
     }
-    Some((st, e))
-}
-
-/// Encode a stage artifact as a complete FFB container. `None` for
-/// memory-only kinds (analysis).
-pub fn encode_artifact(artifact: &Artifact) -> Option<Vec<u8>> {
-    let (st, e) = artifact_sections(artifact)?;
-    let mut b = FfbBuilder::new(artifact.kind().byte());
-    b.section(SEC_STRINGS, st.encode());
-    b.section(SEC_RECORDS, e.0);
-    Some(b.finish())
-}
-
-/// Stream a stage artifact to `w` as an FFB container, byte-identical
-/// to [`encode_artifact`] without ever assembling the container in
-/// memory (the store's disk-write path). `Ok(false)` — with the stream
-/// untouched — for memory-only kinds.
-pub fn write_artifact_to<W: std::io::Read + std::io::Write + std::io::Seek>(
-    w: W,
-    artifact: &Artifact,
-) -> Result<bool, String> {
-    let Some((st, e)) = artifact_sections(artifact) else {
-        return Ok(false);
-    };
     let mut fw = FfbWriter::new(w, artifact.kind().byte(), &[SEC_STRINGS, SEC_RECORDS])?;
     fw.section(SEC_STRINGS, &st.encode())?;
     fw.section(SEC_RECORDS, &e.0)?;
@@ -976,19 +905,19 @@ pub fn write_artifact_to<W: std::io::Read + std::io::Write + std::io::Seek>(
     Ok(true)
 }
 
-/// Decode a stage-cache container. Stricter than [`Ffb::parse`]: the
-/// kind byte must match and the build tag must equal the running
+/// Decode a stage-cache container. Stricter than [`FfbView::parse`]:
+/// the kind byte must match and the build tag must equal the running
 /// binary's — an artifact cache is never shared across builds.
 pub fn decode_artifact(bytes: &[u8], kind: ArtifactKind) -> Result<Artifact, String> {
-    let ffb = Ffb::parse(bytes)?;
-    if ffb.build_tag != build_tag() {
+    let view = FfbView::parse(bytes)?;
+    if view.build_tag != build_tag() {
         return Err("artifact was written by a different build".to_string());
     }
-    if ffb.kind != kind.byte() {
-        return Err(format!("artifact kind byte {} is not {:?}", ffb.kind, kind));
+    if view.kind != kind.byte() {
+        return Err(format!("artifact kind byte {} is not {:?}", view.kind, kind));
     }
-    let st = StrTable::parse(ffb.section(SEC_STRINGS)?)?;
-    let mut d = Dec::new(ffb.section(SEC_RECORDS)?);
+    let st = StrTable::parse(view.section(SEC_STRINGS)?)?;
+    let mut d = Dec::new(view.section(SEC_RECORDS)?);
     let artifact = match kind {
         ArtifactKind::Discovery => Artifact::Discovery(Arc::new(dec_discovery(&mut d)?)),
         ArtifactKind::Stage1 => Artifact::Stage1(Arc::new(dec_stage1(&mut d, &st)?)),
@@ -1339,347 +1268,6 @@ fn dec_stage4(d: &mut Dec<'_>) -> Result<Stage4Result, String> {
     Ok(Stage4Result { first_use_ns, exec_time_ns: d.u64()? })
 }
 
-/// Reusable zero-allocation reader for a Stage 4 container: after one
-/// warmup sizes the column vectors, repeat reads touch the heap zero
-/// times (asserted by `bench_codec --smoke`).
-#[derive(Default)]
-pub struct Stage4Cols {
-    pub sig: Vec<u64>,
-    pub occ: Vec<u64>,
-    pub first_use_ns: Vec<u64>,
-    pub exec_time_ns: u64,
-}
-
-impl Stage4Cols {
-    pub fn new() -> Self {
-        Stage4Cols::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.sig.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.sig.is_empty()
-    }
-
-    /// One pass over a whole Stage 4 FFB file into reused columns.
-    pub fn read(&mut self, file: &[u8]) -> Result<(), String> {
-        self.read_view(&FfbView::parse(file)?)
-    }
-
-    /// Same, over an already-validated container view (so one parse can
-    /// feed several readers).
-    pub fn read_view(&mut self, view: &FfbView<'_>) -> Result<(), String> {
-        view.expect_kind(ArtifactKind::Stage4.byte(), "stage4")?;
-        let mut d = Dec::new(view.section(SEC_RECORDS)?);
-        let n = d.col_len(24)?;
-        extend_u64s(&mut self.sig, d.col_u64(n)?);
-        extend_u64s(&mut self.occ, d.col_u64(n)?);
-        extend_u64s(&mut self.first_use_ns, d.col_u64(n)?);
-        self.exec_time_ns = d.u64()?;
-        d.finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Borrowed scratch readers — zero steady-state allocation, every kind
-// ---------------------------------------------------------------------------
-//
-// Owned decoding (`decode_artifact`) materializes Vec/HashMap-heavy
-// records — ~60k allocations for a 20k-call Stage-2 trace, dominated by
-// one `Vec<Frame>` per call. The readers below run the same validated
-// pass over an `FfbView` into reused flat columns (stacks flatten into
-// one shared frame table); after a warmup read sizes the vectors,
-// repeat reads touch the heap zero times, for *all* artifact kinds —
-// asserted by `bench_codec --smoke`.
-
-/// Reusable zero-allocation reader for a Discovery container.
-#[derive(Default)]
-pub struct DiscoveryCols {
-    /// The funnel everything waits through. `None` only before the
-    /// first successful read.
-    pub sync_fn: Option<InternalFn>,
-    pub wait_fns: Vec<InternalFn>,
-    pub wait_ns: Vec<u64>,
-}
-
-impl DiscoveryCols {
-    pub fn new() -> Self {
-        DiscoveryCols::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.wait_fns.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.wait_fns.is_empty()
-    }
-
-    pub fn read(&mut self, file: &[u8]) -> Result<(), String> {
-        self.read_view(&FfbView::parse(file)?)
-    }
-
-    pub fn read_view(&mut self, view: &FfbView<'_>) -> Result<(), String> {
-        view.expect_kind(ArtifactKind::Discovery.byte(), "discovery")?;
-        let mut d = Dec::new(view.section(SEC_RECORDS)?);
-        self.sync_fn = Some(internal_fn_from_index(d.u8()?)?);
-        let n = d.seq_len()?;
-        self.wait_fns.clear();
-        self.wait_ns.clear();
-        for _ in 0..n {
-            self.wait_fns.push(internal_fn_from_index(d.u8()?)?);
-            self.wait_ns.push(d.u64()?);
-        }
-        d.finish()
-    }
-}
-
-/// Reusable zero-allocation reader for a Stage 1 container.
-#[derive(Default)]
-pub struct Stage1Cols {
-    pub exec_time_ns: u64,
-    pub total_wait_ns: u64,
-    pub sync_hits: u64,
-    /// Synchronizing APIs in canonical (sorted) encode order, paired
-    /// with `api_hits`.
-    pub apis: Vec<ApiFn>,
-    pub api_hits: Vec<u64>,
-    strings: StrTable,
-}
-
-impl Stage1Cols {
-    pub fn new() -> Self {
-        Stage1Cols::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.apis.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.apis.is_empty()
-    }
-
-    pub fn read(&mut self, file: &[u8]) -> Result<(), String> {
-        self.read_view(&FfbView::parse(file)?)
-    }
-
-    pub fn read_view(&mut self, view: &FfbView<'_>) -> Result<(), String> {
-        view.expect_kind(ArtifactKind::Stage1.byte(), "stage1")?;
-        view.strings_into(&mut self.strings)?;
-        let mut d = Dec::new(view.section(SEC_RECORDS)?);
-        self.exec_time_ns = d.u64()?;
-        self.total_wait_ns = d.u64()?;
-        self.sync_hits = d.u64()?;
-        let n = d.seq_len()?;
-        self.apis.clear();
-        self.api_hits.clear();
-        for _ in 0..n {
-            self.apis.push(dec_api(&mut d, &self.strings)?);
-            self.api_hits.push(d.u64()?);
-        }
-        d.finish()
-    }
-}
-
-/// One traced call in a [`Stage2Cols`] read: the full [`TracedCall`]
-/// payload with the stack flattened into the shared frame table —
-/// recover it with [`Stage2Cols::frames_of`].
-#[derive(Debug, Clone, Copy)]
-pub struct CallRow {
-    pub seq: u64,
-    pub api: ApiFn,
-    pub site: SourceLoc,
-    pub sig: u64,
-    pub folded_sig: u64,
-    pub occ: u64,
-    pub enter_ns: u64,
-    pub exit_ns: u64,
-    pub wait_ns: u64,
-    pub wait_reason: Option<WaitReason>,
-    pub transfer: Option<TransferRec>,
-    pub is_launch: bool,
-    frame_start: u32,
-    frame_len: u32,
-}
-
-/// One stack frame in the shared frame table: interned function symbol
-/// plus call site — no per-frame `String`, no per-call `Vec`.
-#[derive(Debug, Clone, Copy)]
-pub struct FrameRow {
-    pub function: Sym,
-    pub callsite: SourceLoc,
-}
-
-/// Reusable zero-allocation reader for a Stage 2 container — the
-/// replacement for the ~60k-allocation owned decode on the trace-heavy
-/// path. Stacks land in one shared `frames` table; each [`CallRow`]
-/// holds a range into it.
-#[derive(Default)]
-pub struct Stage2Cols {
-    pub exec_time_ns: u64,
-    pub calls: Vec<CallRow>,
-    pub frames: Vec<FrameRow>,
-    strings: StrTable,
-}
-
-impl Stage2Cols {
-    pub fn new() -> Self {
-        Stage2Cols::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.calls.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.calls.is_empty()
-    }
-
-    /// The stack frames of `call`, outermost first (encode order).
-    pub fn frames_of(&self, call: &CallRow) -> &[FrameRow] {
-        let start = call.frame_start as usize;
-        &self.frames[start..start + call.frame_len as usize]
-    }
-
-    pub fn read(&mut self, file: &[u8]) -> Result<(), String> {
-        self.read_view(&FfbView::parse(file)?)
-    }
-
-    pub fn read_view(&mut self, view: &FfbView<'_>) -> Result<(), String> {
-        view.expect_kind(ArtifactKind::Stage2.byte(), "stage2")?;
-        view.strings_into(&mut self.strings)?;
-        let mut d = Dec::new(view.section(SEC_RECORDS)?);
-        self.exec_time_ns = d.u64()?;
-        let n = d.seq_len()?;
-        self.calls.clear();
-        self.frames.clear();
-        for _ in 0..n {
-            let seq = d.u64()?;
-            let api = dec_api(&mut d, &self.strings)?;
-            let site = dec_loc(&mut d, &self.strings)?;
-            let frame_start =
-                u32::try_from(self.frames.len()).map_err(|_| "frame table overflow".to_string())?;
-            let nframes = d.seq_len()?;
-            for _ in 0..nframes {
-                let function = self.strings.sym(d.u32()?)?;
-                let callsite = dec_loc(&mut d, &self.strings)?;
-                self.frames.push(FrameRow { function, callsite });
-            }
-            self.calls.push(CallRow {
-                seq,
-                api,
-                site,
-                sig: d.u64()?,
-                folded_sig: d.u64()?,
-                occ: d.u64()?,
-                enter_ns: d.u64()?,
-                exit_ns: d.u64()?,
-                wait_ns: d.u64()?,
-                wait_reason: d.opt(dec_wait_reason)?,
-                transfer: d.opt(dec_transfer)?,
-                is_launch: d.bool()?,
-                frame_start,
-                frame_len: nframes as u32,
-            });
-        }
-        d.finish()
-    }
-}
-
-/// A protected-data access row in a [`Stage3Cols`] read.
-#[derive(Debug, Clone, Copy)]
-pub struct AccessRow {
-    pub sync: OpInstance,
-    pub access_site: SourceLoc,
-    pub rough_gap_ns: u64,
-}
-
-/// A duplicate-transfer row in a [`Stage3Cols`] read.
-#[derive(Debug, Clone, Copy)]
-pub struct DuplicateRow {
-    pub op: OpInstance,
-    pub site: SourceLoc,
-    pub first_site: SourceLoc,
-    pub bytes: u64,
-    pub digest: Digest,
-}
-
-/// Reusable zero-allocation reader for a Stage 3 container. The op sets
-/// come back as sorted vectors (canonical encode order), which callers
-/// probe by binary search instead of rebuilding hash sets.
-#[derive(Default)]
-pub struct Stage3Cols {
-    /// Sorted by `(sig, occ)`.
-    pub required_syncs: Vec<OpInstance>,
-    /// Sorted by `(sig, occ)`.
-    pub observed_syncs: Vec<OpInstance>,
-    pub accesses: Vec<AccessRow>,
-    pub duplicates: Vec<DuplicateRow>,
-    /// Sorted (canonical encode order).
-    pub first_use_sites: Vec<SourceLoc>,
-    pub hashed_bytes: u64,
-    pub exec_time_sync_ns: u64,
-    pub exec_time_hash_ns: u64,
-    pub exec_time_ns: u64,
-    strings: StrTable,
-}
-
-impl Stage3Cols {
-    pub fn new() -> Self {
-        Stage3Cols::default()
-    }
-
-    pub fn read(&mut self, file: &[u8]) -> Result<(), String> {
-        self.read_view(&FfbView::parse(file)?)
-    }
-
-    pub fn read_view(&mut self, view: &FfbView<'_>) -> Result<(), String> {
-        view.expect_kind(ArtifactKind::Stage3.byte(), "stage3")?;
-        view.strings_into(&mut self.strings)?;
-        let mut d = Dec::new(view.section(SEC_RECORDS)?);
-        for set in [&mut self.required_syncs, &mut self.observed_syncs] {
-            let n = d.seq_len()?;
-            set.clear();
-            for _ in 0..n {
-                set.push(dec_op(&mut d)?);
-            }
-        }
-        let n = d.seq_len()?;
-        self.accesses.clear();
-        for _ in 0..n {
-            self.accesses.push(AccessRow {
-                sync: dec_op(&mut d)?,
-                access_site: dec_loc(&mut d, &self.strings)?,
-                rough_gap_ns: d.u64()?,
-            });
-        }
-        let n = d.seq_len()?;
-        self.duplicates.clear();
-        for _ in 0..n {
-            self.duplicates.push(DuplicateRow {
-                op: dec_op(&mut d)?,
-                site: dec_loc(&mut d, &self.strings)?,
-                first_site: dec_loc(&mut d, &self.strings)?,
-                bytes: d.u64()?,
-                digest: Digest(d.u128()?),
-            });
-        }
-        let n = d.seq_len()?;
-        self.first_use_sites.clear();
-        for _ in 0..n {
-            self.first_use_sites.push(dec_loc(&mut d, &self.strings)?);
-        }
-        self.hashed_bytes = d.u64()?;
-        self.exec_time_sync_ns = d.u64()?;
-        self.exec_time_hash_ns = d.u64()?;
-        self.exec_time_ns = d.u64()?;
-        d.finish()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Generic JSON documents (reports, telemetry, converted files)
 // ---------------------------------------------------------------------------
@@ -1703,18 +1291,13 @@ const MAX_DOC_DEPTH: usize = 512;
 /// exact `i128` integers this makes bin→json re-rendering byte-identical
 /// to the original pretty form.
 pub fn encode_doc(doc: &Json) -> Vec<u8> {
-    let mut st = StrTableBuilder::new();
-    let mut e = Enc::default();
-    enc_json(&mut e, &mut st, doc);
-    let mut b = FfbBuilder::new(KIND_DOC);
-    b.section(SEC_STRINGS, st.encode());
-    b.section(SEC_DOC, e.0);
-    b.finish()
+    let mut cur = std::io::Cursor::new(Vec::new());
+    write_doc_to(&mut cur, doc).expect("in-memory FFB write cannot fail");
+    cur.into_inner()
 }
 
-/// Stream a [`Json`] document to `w` as a [`KIND_DOC`] container,
-/// byte-identical to [`encode_doc`] without assembling the container
-/// (the `--format bin` export path).
+/// Stream a [`Json`] document to `w` as a [`KIND_DOC`] container
+/// without assembling the container (the `--format bin` export path).
 pub fn write_doc_to<W: std::io::Read + std::io::Write + std::io::Seek>(
     w: W,
     doc: &Json,
@@ -1733,12 +1316,13 @@ pub fn write_doc_to<W: std::io::Read + std::io::Write + std::io::Seek>(
 /// come back as [`Json::Sym`] over the file's interned table — content-
 /// equal to the original `Str` values and serialized identically.
 pub fn decode_doc(bytes: &[u8]) -> Result<Json, String> {
-    let ffb = Ffb::parse(bytes)?;
-    if ffb.kind != KIND_DOC {
-        return Err(format!("not a document container (kind {})", ffb.kind));
-    }
-    let st = StrTable::parse(ffb.section(SEC_STRINGS)?)?;
-    let mut d = Dec::new(ffb.section(SEC_DOC)?);
+    doc_from_view(&FfbView::parse(bytes)?)
+}
+
+fn doc_from_view(view: &FfbView<'_>) -> Result<Json, String> {
+    view.expect_kind(KIND_DOC, "document")?;
+    let st = StrTable::parse(view.section(SEC_STRINGS)?)?;
+    let mut d = Dec::new(view.section(SEC_DOC)?);
     let doc = dec_json(&mut d, &st, 0)?;
     d.finish()?;
     Ok(doc)
@@ -1838,21 +1422,13 @@ fn dec_json(d: &mut Dec<'_>, st: &StrTable, depth: usize) -> Result<Json, String
 /// section. `Err` if any cell's assignment disagrees with the axes (a
 /// hand-built matrix; `run_sweep` can't produce one).
 pub fn encode_sweep(m: &SweepMatrix) -> Result<Vec<u8>, String> {
-    let (st, h) = sweep_header_sections(m)?;
-    let mut c = Enc::default();
-    emit_sweep_cells(m, |b| {
-        c.0.extend_from_slice(b);
-        Ok(())
-    })?;
-    let mut b = FfbBuilder::new(KIND_SWEEP);
-    b.section(SEC_STRINGS, st.encode());
-    b.section(SEC_SWEEP_HEADER, h.0);
-    b.section(SEC_SWEEP_CELLS, c.0);
-    Ok(b.finish())
+    let mut cur = std::io::Cursor::new(Vec::new());
+    write_sweep_to(&mut cur, m)?;
+    Ok(cur.into_inner())
 }
 
-/// Stream a sweep matrix to `w` as a [`KIND_SWEEP`] container,
-/// byte-identical to [`encode_sweep`]. Every string in the container
+/// Stream a sweep matrix to `w` as a [`KIND_SWEEP`] container. Every
+/// string in the container
 /// comes from the *header* (cell assignments are validated to mirror
 /// the axis fields), so the string table closes before any cell is
 /// visited and the cells section streams column-wise through the
@@ -1875,8 +1451,7 @@ pub fn write_sweep_to<W: std::io::Read + std::io::Write + std::io::Seek>(
 }
 
 /// Validate cell assignments against the axes and build the string
-/// table + header section shared by the one-shot and streaming sweep
-/// encoders.
+/// table + header section.
 fn sweep_header_sections(m: &SweepMatrix) -> Result<(StrTableBuilder, Enc), String> {
     for c in &m.cells {
         if c.assignment.len() != m.axes.len()
@@ -1910,8 +1485,7 @@ fn sweep_header_sections(m: &SweepMatrix) -> Result<(StrTableBuilder, Enc), Stri
     Ok((st, h))
 }
 
-/// Emit the cells section column-by-column through `put` — the byte
-/// stream both sweep encoders share.
+/// Emit the cells section column-by-column through `put`.
 fn emit_sweep_cells(
     m: &SweepMatrix,
     mut put: impl FnMut(&[u8]) -> Result<(), String>,
@@ -2004,10 +1578,13 @@ pub fn read_sweep_header(view: &FfbView<'_>, st: &StrTable) -> Result<SweepHeade
 /// raw bits, so the argmin/argmax rows match the producing run exactly.
 /// `cache_stats` is diagnostic-only and never serialized.
 pub fn decode_sweep(bytes: &[u8]) -> Result<SweepMatrix, String> {
-    let view = FfbView::parse(bytes)?;
+    sweep_from_view(&FfbView::parse(bytes)?)
+}
+
+fn sweep_from_view(view: &FfbView<'_>) -> Result<SweepMatrix, String> {
     view.expect_kind(KIND_SWEEP, "sweep")?;
     let st = StrTable::parse(view.section(SEC_STRINGS)?)?;
-    let hdr = read_sweep_header(&view, &st)?;
+    let hdr = read_sweep_header(view, &st)?;
     let app_name = hdr.app.resolve().to_string();
     let workload = hdr.workload.resolve().to_string();
     let layout = hdr.layout;
@@ -2028,7 +1605,7 @@ pub fn decode_sweep(bytes: &[u8]) -> Result<SweepMatrix, String> {
         .collect();
 
     let mut cols = SweepCellCols::new();
-    cols.read_view(&view)?;
+    cols.read_view(view)?;
     if cols.axes != axes.len() {
         return Err(format!(
             "cells carry {} axes but the header declares {}",
@@ -2145,10 +1722,14 @@ impl SweepCellCols {
 /// (byte-identical to the producing run's `--format json` output).
 /// Artifact kinds are cache-internal and not convertible.
 pub fn decode_any_doc(bytes: &[u8]) -> Result<Json, String> {
-    let ffb = Ffb::parse(bytes)?;
-    match ffb.kind {
-        KIND_DOC => decode_doc(bytes),
-        KIND_SWEEP => Ok(crate::sweep::sweep_to_json(&decode_sweep(bytes)?)),
+    any_doc_from_view(&FfbView::parse(bytes)?)
+}
+
+/// [`decode_any_doc`] over an already-validated view.
+pub(crate) fn any_doc_from_view(view: &FfbView<'_>) -> Result<Json, String> {
+    match view.kind {
+        KIND_DOC => doc_from_view(view),
+        KIND_SWEEP => Ok(crate::sweep::sweep_to_json(&sweep_from_view(view)?)),
         k => Err(format!("container kind {k} is not a convertible document")),
     }
 }
@@ -2364,7 +1945,7 @@ mod tests {
         let mut bytes =
             encode_artifact(&Artifact::Stage4(Arc::new(Stage4Result::default()))).unwrap();
         bytes[12] ^= 0xff; // build tag, outside the checksum's coverage
-        assert!(Ffb::parse(&bytes).is_ok(), "container itself is intact");
+        assert!(FfbView::parse(&bytes).is_ok(), "container itself is intact");
         assert!(!header_is_current(&bytes), "cache hygiene sees it as stale");
         assert!(decode_artifact(&bytes, ArtifactKind::Stage4).is_err(), "cache path refuses it");
     }
@@ -2395,18 +1976,19 @@ mod tests {
 
     #[test]
     fn container_roundtrips_and_checks_integrity() {
-        let mut b = FfbBuilder::new(KIND_DOC);
-        b.section(SEC_STRINGS, vec![1, 2, 3]);
-        b.section(SEC_DOC, vec![9; 40]);
-        let bytes = b.finish();
+        let cur = std::io::Cursor::new(Vec::new());
+        let mut fw = FfbWriter::new(cur, KIND_DOC, &[SEC_STRINGS, SEC_DOC]).unwrap();
+        fw.section(SEC_STRINGS, &[1, 2, 3]).unwrap();
+        fw.section(SEC_DOC, &[9; 40]).unwrap();
+        let bytes = fw.finish().unwrap().into_inner();
         assert!(is_ffb(&bytes));
         assert!(header_is_current(&bytes));
-        let ffb = Ffb::parse(&bytes).unwrap();
-        assert_eq!(ffb.kind, KIND_DOC);
-        assert_eq!(ffb.build_tag, build_tag());
-        assert_eq!(ffb.section(SEC_STRINGS).unwrap(), &[1, 2, 3]);
-        assert_eq!(ffb.section(SEC_DOC).unwrap().len(), 40);
-        assert!(ffb.section(SEC_RECORDS).is_err(), "absent section is an error");
+        let view = FfbView::parse(&bytes).unwrap();
+        assert_eq!(view.kind(), KIND_DOC);
+        assert_eq!(view.build_tag(), build_tag());
+        assert_eq!(view.section(SEC_STRINGS).unwrap(), &[1, 2, 3]);
+        assert_eq!(view.section(SEC_DOC).unwrap().len(), 40);
+        assert!(view.section(SEC_RECORDS).is_err(), "absent section is an error");
 
         // Any single-byte corruption is rejected, wherever it lands —
         // except the build tag (bytes 12..20), which parse deliberately
@@ -2416,14 +1998,17 @@ mod tests {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
             if (12..20).contains(&i) {
-                assert!(Ffb::parse(&bad).is_ok(), "build-tag byte {i} is not integrity-checked");
+                assert!(
+                    FfbView::parse(&bad).is_ok(),
+                    "build-tag byte {i} is not integrity-checked"
+                );
             } else {
-                assert!(Ffb::parse(&bad).is_err(), "mutation at byte {i} must not parse");
+                assert!(FfbView::parse(&bad).is_err(), "mutation at byte {i} must not parse");
             }
         }
         // Every strict prefix is rejected too.
         for end in 0..bytes.len() {
-            assert!(Ffb::parse(&bytes[..end]).is_err(), "truncation to {end} must not parse");
+            assert!(FfbView::parse(&bytes[..end]).is_err(), "truncation to {end} must not parse");
         }
     }
 
@@ -2569,26 +2154,6 @@ mod tests {
 
     #[test]
     fn scratch_readers_are_zero_alloc_capable_and_consistent() {
-        // Stage 4 columns match the map-materializing decoder.
-        let mut s = Stage4Result::default();
-        for i in 0..50u64 {
-            s.first_use_ns.insert(OpInstance { sig: i % 7, occ: i }, i * 3);
-        }
-        s.exec_time_ns = 99;
-        let bytes = encode_artifact(&Artifact::Stage4(Arc::new(s.clone()))).unwrap();
-        let mut cols = Stage4Cols::new();
-        cols.read(&bytes).unwrap();
-        assert_eq!(cols.len(), 50);
-        assert_eq!(cols.exec_time_ns, 99);
-        for i in 0..cols.len() {
-            let op = OpInstance { sig: cols.sig[i], occ: cols.occ[i] };
-            assert_eq!(s.first_use_ns[&op], cols.first_use_ns[i]);
-        }
-        // Columns are sorted by (sig, occ) — the canonical encode order.
-        for i in 1..cols.len() {
-            assert!((cols.sig[i - 1], cols.occ[i - 1]) < (cols.sig[i], cols.occ[i]));
-        }
-
         // Sweep columns match the struct decoder, reusing one scratch.
         let m = sample_matrix(None);
         let sweep_bytes = encode_sweep(&m).unwrap();
@@ -2630,51 +2195,6 @@ mod tests {
                 assert_eq!(cs.finish(), expect, "len {len} chunk {chunk}");
             }
         }
-    }
-
-    #[test]
-    fn ffb_writer_is_byte_identical_to_builder() {
-        // Payloads straddle the chunk buffer: empty, small, > WRITER_CHUNK.
-        let big: Vec<u8> = (0..(WRITER_CHUNK + 13)).map(|i| (i * 31) as u8).collect();
-        let sections: [(u32, Vec<u8>); 3] =
-            [(SEC_STRINGS, vec![]), (SEC_RECORDS, vec![7u8; 100]), (SEC_DOC, big)];
-
-        let mut b = FfbBuilder::new(KIND_DOC);
-        for (id, payload) in &sections {
-            b.section(*id, payload.clone());
-        }
-        let expect = b.finish();
-
-        let ids: Vec<u32> = sections.iter().map(|(id, _)| *id).collect();
-        let mut fw = FfbWriter::new(std::io::Cursor::new(Vec::new()), KIND_DOC, &ids).unwrap();
-        for (id, payload) in &sections {
-            // Stream each payload in uneven pieces.
-            fw.begin_section(*id).unwrap();
-            for piece in payload.chunks(977) {
-                fw.write(piece).unwrap();
-            }
-            fw.end_section().unwrap();
-        }
-        assert_eq!(fw.finish().unwrap().into_inner(), expect);
-        assert_eq!(
-            Ffb::parse(&expect).unwrap().section(SEC_DOC).unwrap().len(),
-            sections[2].1.len()
-        );
-    }
-
-    #[test]
-    fn ffb_writer_supports_nonzero_stream_offsets() {
-        let mut b = FfbBuilder::new(KIND_DOC);
-        b.section(SEC_DOC, vec![5u8; 50]);
-        let expect = b.finish();
-
-        let mut cur = std::io::Cursor::new(b"prefix--".to_vec());
-        cur.set_position(8);
-        let mut fw = FfbWriter::new(cur, KIND_DOC, &[SEC_DOC]).unwrap();
-        fw.section(SEC_DOC, &[5u8; 50]).unwrap();
-        let out = fw.finish().unwrap().into_inner();
-        assert_eq!(&out[..8], b"prefix--");
-        assert_eq!(&out[8..], &expect[..]);
     }
 
     #[test]
@@ -2737,161 +2257,28 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_stage2_reader_matches_owned_decode() {
-        let mut s = sample_stage2();
-        // A second call with an empty stack and no options exercises the
-        // frame-range bookkeeping.
-        s.calls.push(TracedCall {
-            seq: 1,
-            api: ApiFn::CudaDeviceSynchronize,
-            site: sample_loc(900),
-            stack: StackTrace { frames: vec![] },
-            sig: 1,
-            folded_sig: 2,
-            occ: 0,
-            enter_ns: 100,
-            exit_ns: 180,
-            wait_ns: 60,
-            wait_reason: None,
-            transfer: None,
-            is_launch: true,
-        });
-        let bytes = encode_artifact(&Artifact::Stage2(Arc::new(s.clone()))).unwrap();
-
-        let mut cols = Stage2Cols::new();
-        cols.read(&bytes).unwrap();
-        cols.read(&bytes).unwrap(); // reuse is idempotent
-        assert_eq!(cols.exec_time_ns, s.exec_time_ns);
-        assert_eq!(cols.len(), s.calls.len());
-
-        // Rebuilding the owned record from the flattened rows and
-        // re-encoding reproduces the input bytes exactly — full
-        // equivalence, not per-field spot checks.
-        let rebuilt = Stage2Result {
-            exec_time_ns: cols.exec_time_ns,
-            calls: cols
-                .calls
-                .iter()
-                .map(|c| TracedCall {
-                    seq: c.seq as usize,
-                    api: c.api,
-                    site: c.site,
-                    stack: StackTrace {
-                        frames: cols
-                            .frames_of(c)
-                            .iter()
-                            .map(|f| Frame::new(f.function.resolve(), f.callsite))
-                            .collect(),
-                    },
-                    sig: c.sig,
-                    folded_sig: c.folded_sig,
-                    occ: c.occ,
-                    enter_ns: c.enter_ns,
-                    exit_ns: c.exit_ns,
-                    wait_ns: c.wait_ns,
-                    wait_reason: c.wait_reason,
-                    transfer: c.transfer,
-                    is_launch: c.is_launch,
-                })
-                .collect(),
-        };
-        let re = encode_artifact(&Artifact::Stage2(Arc::new(rebuilt))).unwrap();
-        assert_eq!(re, bytes);
-    }
-
-    #[test]
-    fn borrowed_readers_match_owned_decode_for_remaining_kinds() {
-        let disc = Discovery {
-            sync_fn: InternalFn::SyncWait,
-            waits: [(InternalFn::SyncWait, 500), (InternalFn::Enqueue, 0)].into_iter().collect(),
-        };
-        let bytes = encode_artifact(&Artifact::Discovery(Arc::new(disc.clone()))).unwrap();
-        let mut dc = DiscoveryCols::new();
-        dc.read(&bytes).unwrap();
-        assert_eq!(dc.sync_fn, Some(disc.sync_fn));
-        let waits: HashMap<InternalFn, u64> =
-            dc.wait_fns.iter().copied().zip(dc.wait_ns.iter().copied()).collect();
-        assert_eq!(waits, disc.waits);
-
-        let s1 = Stage1Result {
-            exec_time_ns: 42,
-            sync_apis: [(ApiFn::CudaFree, 3), (ApiFn::CudaMemcpy, 7)].into_iter().collect(),
-            total_wait_ns: 99,
-            sync_hits: 10,
-        };
-        let bytes = encode_artifact(&Artifact::Stage1(Arc::new(s1.clone()))).unwrap();
-        let mut c1 = Stage1Cols::new();
-        c1.read(&bytes).unwrap();
-        assert_eq!(
-            (c1.exec_time_ns, c1.total_wait_ns, c1.sync_hits),
-            (s1.exec_time_ns, s1.total_wait_ns, s1.sync_hits)
-        );
-        let apis: HashMap<ApiFn, u64> =
-            c1.apis.iter().copied().zip(c1.api_hits.iter().copied()).collect();
-        assert_eq!(apis, s1.sync_apis);
-
-        let s3 = sample_stage3();
-        let bytes = encode_artifact(&Artifact::Stage3(Arc::new(s3))).unwrap();
-        let mut c3 = Stage3Cols::new();
-        c3.read(&bytes).unwrap();
-        // Rebuild and re-encode: byte equality is full equivalence.
-        let rebuilt = Stage3Result {
-            required_syncs: c3.required_syncs.iter().copied().collect(),
-            observed_syncs: c3.observed_syncs.iter().copied().collect(),
-            accesses: c3
-                .accesses
-                .iter()
-                .map(|a| ProtectedAccess {
-                    sync: a.sync,
-                    access_site: a.access_site,
-                    rough_gap_ns: a.rough_gap_ns,
-                })
-                .collect(),
-            duplicates: c3
-                .duplicates
-                .iter()
-                .map(|dup| DuplicateTransfer {
-                    op: dup.op,
-                    site: dup.site,
-                    first_site: dup.first_site,
-                    bytes: dup.bytes,
-                    digest: dup.digest,
-                })
-                .collect(),
-            first_use_sites: c3.first_use_sites.iter().copied().collect(),
-            hashed_bytes: c3.hashed_bytes,
-            exec_time_sync_ns: c3.exec_time_sync_ns,
-            exec_time_hash_ns: c3.exec_time_hash_ns,
-            exec_time_ns: c3.exec_time_ns,
-        };
-        let re = encode_artifact(&Artifact::Stage3(Arc::new(rebuilt))).unwrap();
-        assert_eq!(re, bytes);
-        for w in c3.required_syncs.windows(2) {
-            assert!(w[0] < w[1], "op sets come back sorted for binary search");
-        }
-    }
-
-    #[test]
-    fn borrowed_readers_work_at_any_buffer_alignment() {
+    fn artifact_decode_works_at_any_buffer_alignment() {
         // Copy a container to every offset 1..8 of a larger buffer and
-        // read it from there: per-access LE reads make alignment moot.
+        // decode it from there: per-access LE reads make alignment moot.
         let bytes = encode_artifact(&Artifact::Stage2(Arc::new(sample_stage2()))).unwrap();
-        let mut cols = Stage2Cols::new();
         for offset in 1..8 {
             let mut shifted = vec![0u8; offset];
             shifted.extend_from_slice(&bytes);
-            cols.read(&shifted[offset..]).unwrap();
-            assert_eq!(cols.len(), 1);
+            match decode_artifact(&shifted[offset..], ArtifactKind::Stage2).unwrap() {
+                Artifact::Stage2(got) => assert_eq!(got.calls.len(), 1),
+                other => panic!("wrong kind {:?}", other.kind()),
+            }
         }
         let mut s4 = Stage4Result::default();
         s4.first_use_ns.insert(OpInstance { sig: 3, occ: 1 }, 55);
-        let bytes = encode_artifact(&Artifact::Stage4(Arc::new(s4))).unwrap();
-        let mut c4 = Stage4Cols::new();
+        let bytes = encode_artifact(&Artifact::Stage4(Arc::new(s4.clone()))).unwrap();
         for offset in 1..8 {
             let mut shifted = vec![0u8; offset];
             shifted.extend_from_slice(&bytes);
-            c4.read(&shifted[offset..]).unwrap();
-            assert_eq!((c4.sig[0], c4.occ[0], c4.first_use_ns[0]), (3, 1, 55));
+            match decode_artifact(&shifted[offset..], ArtifactKind::Stage4).unwrap() {
+                Artifact::Stage4(got) => assert_eq!(got.first_use_ns, s4.first_use_ns),
+                other => panic!("wrong kind {:?}", other.kind()),
+            }
         }
     }
 
@@ -2919,6 +2306,107 @@ mod tests {
                 assert_eq!(words, &[1, 2, 3]);
             }
         }
+    }
+
+    /// Length and FNV-1a digest of a container with its build tag (bytes
+    /// 12..20) zeroed: the tag digests the producing binary, sits outside
+    /// the checksum, and is the only part that legitimately varies
+    /// between builds.
+    fn golden(bytes: &[u8]) -> (usize, u64) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (i, &b) in bytes.iter().enumerate() {
+            let b = if (12..20).contains(&i) { 0 } else { b };
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        (bytes.len(), h)
+    }
+
+    fn golden_containers() -> Vec<(&'static str, Vec<u8>)> {
+        let disc = Discovery {
+            sync_fn: InternalFn::SyncWait,
+            waits: [(InternalFn::SyncWait, 500), (InternalFn::Enqueue, 0)].into_iter().collect(),
+        };
+        let s1 = Stage1Result {
+            exec_time_ns: 42,
+            sync_apis: [(ApiFn::CudaFree, 3), (ApiFn::CudaMemcpy, 7)].into_iter().collect(),
+            total_wait_ns: 99,
+            sync_hits: 10,
+        };
+        let mut s4 = Stage4Result::default();
+        for i in 0..50u64 {
+            s4.first_use_ns.insert(OpInstance { sig: i % 7, occ: i }, i * 3);
+        }
+        s4.exec_time_ns = 99;
+        let art = |a: Artifact| encode_artifact(&a).unwrap();
+        vec![
+            ("discovery", art(Artifact::Discovery(Arc::new(disc)))),
+            ("stage1", art(Artifact::Stage1(Arc::new(s1)))),
+            ("stage2", art(Artifact::Stage2(Arc::new(sample_stage2())))),
+            ("stage3", art(Artifact::Stage3(Arc::new(sample_stage3())))),
+            ("stage4", art(Artifact::Stage4(Arc::new(s4)))),
+            ("doc", encode_doc(&doc())),
+            ("sweep", encode_sweep(&sample_matrix(None)).unwrap()),
+            ("sweep_shard", encode_sweep(&sample_matrix(Some(Shard::new(1, 2).unwrap()))).unwrap()),
+        ]
+    }
+
+    /// Streams `sections` through an [`FfbWriter`] starting `prefix`
+    /// bytes into the stream, each payload in uneven 977-byte pieces, and
+    /// returns the container with the prefix stripped (after checking it
+    /// was left alone).
+    fn write_streamed(prefix: &[u8], sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+        let mut cur = std::io::Cursor::new(prefix.to_vec());
+        cur.set_position(prefix.len() as u64);
+        let ids: Vec<u32> = sections.iter().map(|(id, _)| *id).collect();
+        let mut fw = FfbWriter::new(cur, KIND_DOC, &ids).unwrap();
+        for (id, payload) in sections {
+            fw.begin_section(*id).unwrap();
+            for piece in payload.chunks(977) {
+                fw.write(piece).unwrap();
+            }
+            fw.end_section().unwrap();
+        }
+        let out = fw.finish().unwrap().into_inner();
+        assert_eq!(&out[..prefix.len()], prefix, "bytes before the container are untouched");
+        out[prefix.len()..].to_vec()
+    }
+
+    /// Pins the on-disk and on-the-wire bytes of every container kind,
+    /// so files written by one build keep converting and merging in
+    /// another. The constants were recorded by running this body against
+    /// the codec as it stood before its one-shot builder was folded into
+    /// `FfbWriter`; a change here is a format change and needs a
+    /// `SCHEMA_VERSION` bump.
+    #[test]
+    fn container_bytes_match_golden_digests() {
+        let expect: [(&str, usize, u64); 8] = [
+            ("discovery", 88, 0xc00c_5756_3602_7f50),
+            ("stage1", 151, 0xe621_2b0e_9e21_a79d),
+            ("stage2", 280, 0xcd9c_bef4_fb34_d034),
+            ("stage3", 300, 0x3d5c_c5c5_e7a2_f662),
+            ("stage4", 1277, 0x844c_d797_dee5_f251),
+            ("doc", 549, 0xe938_9401_5534_13e0),
+            ("sweep", 609, 0x4a17_777d_930f_c841),
+            ("sweep_shard", 625, 0xdc4d_0a65_4b14_8346),
+        ];
+        let got = golden_containers();
+        assert_eq!(got.len(), expect.len());
+        for ((name, bytes), (want_name, len, digest)) in got.iter().zip(expect) {
+            assert_eq!(*name, want_name);
+            assert_eq!(golden(bytes), (len, digest), "{name} container bytes changed");
+        }
+
+        // Payloads straddling the writer's chunk buffer (empty, small,
+        // > WRITER_CHUNK), streamed in uneven pieces.
+        let big: Vec<u8> = (0..(WRITER_CHUNK + 13)).map(|i| (i * 31) as u8).collect();
+        let sections = [(SEC_STRINGS, vec![]), (SEC_RECORDS, vec![7u8; 100]), (SEC_DOC, big)];
+        let straddle = write_streamed(&[], &sections);
+        assert_eq!(golden(&straddle), (65718, 0x315a_9fe4_37eb_bdae));
+        assert_eq!(FfbView::parse(&straddle).unwrap().section(SEC_DOC).unwrap(), &sections[2].1);
+
+        // A container need not start at stream position 0.
+        let offset = write_streamed(b"prefix--", &[(SEC_DOC, vec![5u8; 50])]);
+        assert_eq!(golden(&offset), (95, 0x0d62_fa39_4286_d6d8));
     }
 
     #[test]

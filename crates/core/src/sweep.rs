@@ -666,16 +666,20 @@ impl SweepMergeFold {
         Ok(())
     }
 
-    /// Fold in one binary shard ([`codec::KIND_SWEEP`]) straight from
-    /// its file bytes. Header strings intern to symbols and cells decode
-    /// into reused columns, so nothing of the source buffer is copied
-    /// beyond the merged cell JSON itself.
-    pub fn add_ffb(&mut self, bytes: &[u8]) -> Result<(), String> {
+    /// Fold in one binary shard from its already-validated container.
+    /// A [`codec::KIND_SWEEP`] container is read straight off the view:
+    /// header strings intern to symbols and cells decode into reused
+    /// columns, so nothing of the source buffer is copied beyond the
+    /// merged cell JSON itself. A shard converted to a generic document
+    /// container is decoded and folded like a JSON shard.
+    pub fn add_ffb(&mut self, view: &codec::FfbView<'_>) -> Result<(), String> {
+        if view.kind() != codec::KIND_SWEEP {
+            return self.add_doc(&codec::any_doc_from_view(view)?);
+        }
         let i = self.docs_seen;
-        let view = codec::FfbView::parse(bytes)?;
         view.strings_into(&mut self.strings)?;
-        let hdr = codec::read_sweep_header(&view, &self.strings)?;
-        self.cols.read_view(&view)?;
+        let hdr = codec::read_sweep_header(view, &self.strings)?;
+        self.cols.read_view(view)?;
         if self.cols.axes != hdr.axis_fields.len() {
             return Err(format!(
                 "document {i} cells carry {} axes but the header declares {}",
@@ -1191,6 +1195,7 @@ mod tests {
         // container bytes, yet the merged document is identical.
         let fa = codec::encode_sweep(&a).unwrap();
         let fb = codec::encode_sweep(&b).unwrap();
+        let (fa, fb) = (codec::FfbView::parse(&fa).unwrap(), codec::FfbView::parse(&fb).unwrap());
         let mut fold = SweepMergeFold::new();
         fold.add_ffb(&fa).unwrap();
         fold.add_ffb(&fb).unwrap();
@@ -1216,6 +1221,7 @@ mod tests {
         full.shard = None;
         full.summary = SweepMatrix::summarize(&full.cells);
         let ffull = codec::encode_sweep(&full).unwrap();
+        let ffull = codec::FfbView::parse(&ffull).unwrap();
         let mut fold = SweepMergeFold::new();
         assert!(fold.add_ffb(&ffull).unwrap_err().contains("not a shard artifact"));
     }

@@ -13,10 +13,9 @@ use std::sync::Arc;
 use cuda_driver::{ApiFn, InternalFn};
 use ffm_core::{
     decode_artifact, decode_doc, encode_artifact, encode_doc, encode_sweep, write_artifact_to,
-    write_doc_to, write_sweep_to, Artifact, ArtifactKind, Axis, AxisLayout, DiscoveryCols,
-    DuplicateTransfer, FfbView, Json, OpInstance, ProtectedAccess, Shard, Stage1Cols, Stage1Result,
-    Stage2Cols, Stage2Result, Stage3Cols, Stage3Result, Stage4Cols, Stage4Result, SweepCell,
-    SweepMatrix, TracedCall, TransferRec,
+    write_doc_to, write_sweep_to, Artifact, ArtifactKind, Axis, AxisLayout, DuplicateTransfer,
+    FfbView, Json, OpInstance, ProtectedAccess, Shard, Stage1Result, Stage2Result, Stage3Result,
+    Stage4Result, SweepCell, SweepMatrix, TracedCall, TransferRec,
 };
 use gpu_sim::{Digest, Direction, Frame, SourceLoc, StackTrace, WaitReason};
 use instrument::Discovery;
@@ -226,19 +225,11 @@ fn build_sweep(seed: u64, n: usize, sharded: bool) -> SweepMatrix {
     }
 }
 
-/// Read `bytes` through the borrowed scratch reader matching `kind`;
-/// `true` iff the read succeeded. Exercised below against damaged and
+/// Decode `bytes` as a `kind` artifact through the production decoder;
+/// `true` iff the decode succeeded. Exercised below against damaged and
 /// misaligned buffers — must never panic or read out of bounds.
 fn scratch_read(kind: ArtifactKind, bytes: &[u8]) -> bool {
-    match kind {
-        ArtifactKind::Discovery => DiscoveryCols::new().read(bytes).is_ok(),
-        ArtifactKind::Stage1 => Stage1Cols::new().read(bytes).is_ok(),
-        ArtifactKind::Stage2 => Stage2Cols::new().read(bytes).is_ok(),
-        ArtifactKind::Stage3 => Stage3Cols::new().read(bytes).is_ok(),
-        ArtifactKind::Stage4 => Stage4Cols::new().read(bytes).is_ok(),
-        // Analysis artifacts are memory-only; the strategy never builds one.
-        ArtifactKind::Analysis => unreachable!("analysis artifacts are not serialized"),
-    }
+    decode_artifact(bytes, kind).is_ok()
 }
 
 fn artifact_strategy() -> impl Strategy<Value = Artifact> {
@@ -371,7 +362,7 @@ proptest! {
         prop_assert_eq!(cur.into_inner(), encode_sweep(&m).expect("encodes"));
     }
 
-    /// The borrowed readers accept a container at any buffer alignment
+    /// The artifact decoder accepts a container at any buffer alignment
     /// (mapped files and socket bodies make no alignment promises) and
     /// reject every truncation and every corruption outside the
     /// checksum-exempt build-tag bytes — without panicking or reading

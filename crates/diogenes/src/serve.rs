@@ -624,7 +624,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, self_addr: std::net
         let _trace = telemetry::trace_scope(Some(trace));
         let _span = telemetry::span("serve.request");
         log_debug!("request {} {}", req.method, req.path);
-        let (status, body, content_type) = respond(&req, shared, self_addr);
+        let (status, body, content_type) = respond(&req, shared);
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
         let ri = route_index(&req.method, &req.path);
         shared.routes[ri].count.fetch_add(1, Ordering::Relaxed);
@@ -636,9 +636,15 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, self_addr: std::net
         // buffer; the response is out, so recycle it for the next
         // request on this (or any) connection.
         ffm_core::iobuf::release(std::mem::take(&mut req.body));
-        if write_response_conn(&mut stream, status, content_type, &body, keep_alive).is_err()
-            || !keep_alive
-        {
+        let sent = write_response_conn(&mut stream, status, content_type, &body, keep_alive);
+        if (req.method.as_str(), req.path.as_str()) == ("POST", "/shutdown") {
+            // Unblock the accept loop so `run` observes the draining
+            // flag — only now that the reply is written, since `run` may
+            // return and the process exit as soon as it does. The probe
+            // connection sends nothing; its handler reads EOF and returns.
+            let _ = TcpStream::connect(self_addr);
+        }
+        if sent.is_err() || !keep_alive {
             return;
         }
     }
@@ -648,11 +654,7 @@ fn error_body(msg: &str) -> Vec<u8> {
     Json::obj([("error", Json::Str(msg.to_string()))]).to_string_pretty().into_bytes()
 }
 
-fn respond(
-    req: &Request,
-    shared: &Shared,
-    self_addr: std::net::SocketAddr,
-) -> (u16, Vec<u8>, &'static str) {
+fn respond(req: &Request, shared: &Shared) -> (u16, Vec<u8>, &'static str) {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/metrics") => (200, render_metrics(shared).into_bytes(), CT_PROM),
         ("GET", path) if path.starts_with("/report/") => {
@@ -670,7 +672,7 @@ fn respond(
                     (200, telemetry_doc(shared).to_string_pretty().into_bytes())
                 }
                 ("GET", "/trace") => trace_dump(req),
-                ("POST", "/shutdown") => shutdown(shared, self_addr),
+                ("POST", "/shutdown") => shutdown(shared),
                 ("GET", _) => (404, error_body(&format!("no such resource {:?}", req.path))),
                 (m, _) => (405, error_body(&format!("method {m} not supported here"))),
             };
@@ -938,16 +940,15 @@ fn fetch(
     }
 }
 
-fn shutdown(shared: &Shared, self_addr: std::net::SocketAddr) -> (u16, Vec<u8>) {
+/// Mark the daemon draining; the connection handler wakes the accept
+/// loop once this reply is on the wire.
+fn shutdown(shared: &Shared) -> (u16, Vec<u8>) {
     let pending = {
         let mut st = shared.state.lock().unwrap();
         st.draining = true;
         st.queue.len() + shared.in_flight.load(Ordering::Relaxed) as usize
     };
     shared.work_cv.notify_all();
-    // Unblock the accept loop so `run` observes the draining flag. The
-    // probe connection sends nothing; the handler reads EOF and returns.
-    let _ = TcpStream::connect(self_addr);
     let body = Json::obj([
         ("status", Json::Static("draining")),
         ("jobs_pending", Json::Int(pending as i128)),

@@ -20,8 +20,8 @@
 use crate::artifact::OutFormat;
 use cuda_driver::GpuApp;
 use ffm_core::{
-    decode_any_doc, is_ffb, run_sweep, sweep_to_json, Axis, FfbView, FfmConfig, Json, Shard,
-    SweepMatrix, SweepMergeFold, SweepSpec, KIND_SWEEP,
+    is_ffb, run_sweep, sweep_to_json, Axis, FfbView, FfmConfig, Json, Shard, SweepMatrix,
+    SweepMergeFold, SweepSpec,
 };
 
 /// Parse one `--axis` argument of the form `field=v1,v2,...`.
@@ -150,21 +150,16 @@ pub fn merge_shard_files(paths: &[String]) -> Result<Json, String> {
     }
     let mut fold = SweepMergeFold::new();
     for p in paths {
-        // Each shard is mapped (or read into a pooled buffer) and folded
-        // in place: binary sweep shards go header+cells straight off the
-        // buffer via `FfbView`, so no owned document is ever built for
-        // them. The buffer is unmapped/recycled before the next shard.
+        // Each shard is mapped (or read into a pooled buffer), validated
+        // once, and folded in place: binary sweep shards go header+cells
+        // straight off the buffer via `FfbView`, so no owned document is
+        // ever built for them. The buffer is unmapped/recycled before the
+        // next shard.
         let bytes = ffm_core::iobuf::read_file(std::path::Path::new(p))
             .map_err(|e| format!("cannot read {p}: {e}"))?;
         if is_ffb(&bytes) {
             let view = FfbView::parse(&bytes).map_err(|e| format!("{p}: {e}"))?;
-            if view.kind() == KIND_SWEEP {
-                fold.add_ffb(&bytes).map_err(|e| format!("{p}: {e}"))?;
-            } else {
-                // A shard converted to a generic document container.
-                let doc = decode_any_doc(&bytes).map_err(|e| format!("{p}: {e}"))?;
-                fold.add_doc(&doc).map_err(|e| format!("{p}: {e}"))?;
-            }
+            fold.add_ffb(&view).map_err(|e| format!("{p}: {e}"))?;
         } else {
             let text = std::str::from_utf8(&bytes).map_err(|_| format!("{p}: not UTF-8"))?;
             let doc = Json::parse(text).map_err(|e| format!("{p}: {e}"))?;

@@ -2,10 +2,12 @@
 //! `POST /run` + `GET /report/<id>` with bytes identical to the offline
 //! CLI export for the same config, concurrent identical submissions must
 //! compute once, and `/stats`, `/telemetry`, and `/shutdown` must behave
-//! as documented.
+//! as documented — including a `/shutdown` reply that always reaches the
+//! client before the daemon process exits.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::{Command, Stdio};
 
 use diogenes::{run_diogenes, DiogenesConfig, ServeConfig, Server};
 use diogenes_apps::{AlsConfig, CumfAls};
@@ -167,4 +169,37 @@ fn serve_runs_sweeps_and_keys_them_separately() {
     let (status, _) = request(addr, "POST", "/shutdown", b"");
     assert_eq!(status, 200);
     daemon.join().expect("daemon exits");
+}
+
+/// The `POST /shutdown` reply must reach the client before the daemon
+/// process exits. Losing it was a race between the reply write and the
+/// accept loop's wake-up, so the check runs over several fresh daemons.
+#[test]
+fn shutdown_reply_arrives_before_the_daemon_exits() {
+    for round in 0..10 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_diogenes"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--no-cache"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn diogenes serve");
+        // Keep stdout open until the daemon exits, so a late write to it
+        // cannot fail on a closed pipe.
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("read the announced address");
+        let addr: SocketAddr = line
+            .split_whitespace()
+            .last()
+            .and_then(|a| a.parse().ok())
+            .unwrap_or_else(|| panic!("round {round}: no address in {line:?}"));
+
+        let (status, body) = request(addr, "POST", "/shutdown", b"");
+        assert_eq!(status, 200, "round {round}: {}", String::from_utf8_lossy(&body));
+        let doc = Json::parse(std::str::from_utf8(&body).expect("UTF-8 body")).expect("JSON body");
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("draining"), "round {round}");
+
+        let exit = child.wait().expect("wait for the daemon");
+        assert!(exit.success(), "round {round}: daemon exited with {exit}");
+    }
 }

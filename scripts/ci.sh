@@ -225,7 +225,7 @@ cmp "$SERVE/cli.json" "$SERVE/served.json"
 ./target/release/diogenes trace-check "$SERVE/trace.json"
 rm -rf "$SERVE"
 
-echo "== codec allocation smoke (zero steady-state allocations in FFB decode) =="
+echo "== codec smoke (FFB decode beats JSON on every kind; sweep merge path is zero-alloc) =="
 cargo build --release -p diogenes-bench --bin bench_codec
 ./target/release/bench_codec --smoke
 
