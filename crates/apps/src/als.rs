@@ -377,6 +377,39 @@ mod tests {
         assert_eq!(base.input_digest(), CumfAls::new(AlsConfig::test_scale()).input_digest());
     }
 
+    /// The malloc/free-in-loop pathology re-allocates 8 MiB scratch
+    /// buffers the app never writes. The simulator must not back them:
+    /// a bare paper-scale run materializes at most a tenth of the device
+    /// bytes it allocates. A count, so it cannot flake on a slow machine.
+    #[test]
+    fn paper_scale_run_backs_at_most_a_tenth_of_its_device_allocations() {
+        use cuda_driver::{CallInfo, DriverHook, HookEvent};
+        use gpu_sim::Machine;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        #[derive(Default)]
+        struct DevAllocBytes(u64);
+        impl DriverHook for DevAllocBytes {
+            fn on_event(&mut self, ev: &HookEvent, _m: &mut Machine) {
+                if let HookEvent::ApiEnter { info: CallInfo::Alloc { bytes, .. }, .. } = ev {
+                    self.0 += bytes;
+                }
+            }
+        }
+        let mut cuda = Cuda::new(CostModel::pascal_like());
+        let spy = Rc::new(RefCell::new(DevAllocBytes::default()));
+        cuda.install_hook(spy.clone());
+        CumfAls::new(AlsConfig::paper_scale()).run(&mut cuda).unwrap();
+        let allocated = spy.borrow().0;
+        let materialized = cuda.machine.dev.materialized_bytes();
+        assert!(materialized > 0, "the ratings uploads must back their buffers");
+        assert!(
+            materialized * 10 <= allocated,
+            "materialized {materialized} of {allocated} allocated device bytes"
+        );
+    }
+
     #[test]
     fn deterministic_across_runs() {
         let app = CumfAls::new(AlsConfig::test_scale());

@@ -18,9 +18,16 @@ use crate::records::{
     DuplicateTransfer, OpInstance, ProtectedAccess, Stage1Result, Stage2Result, Stage3Result,
     Stage4Result, TracedCall, TransferRec,
 };
+use crate::telemetry;
 
 fn fresh_context(cost: &CostModel, cfg: &DriverConfig) -> Cuda {
     Cuda::with_config(cost.clone(), cfg.clone())
+}
+
+/// Count what one app run cost the simulator, so `--profile` shows it.
+fn count_sim_cost(cuda: &Cuda) {
+    telemetry::counter_add("sim.timeline_events", cuda.machine.timeline.events().len() as u64);
+    telemetry::counter_add("sim.dev_materialized_bytes", cuda.machine.dev.materialized_bytes());
 }
 
 /// Identity bits extracted from a captured stack.
@@ -77,6 +84,7 @@ pub fn run_stage1(
         }),
     );
     app.run(&mut cuda)?;
+    count_sim_cost(&cuda);
     // Report the run time with the tool's own injected overhead
     // compensated out: the baseline stage is designed to match the
     // uninstrumented application closely (paper §3.1).
@@ -209,6 +217,7 @@ pub fn run_stage2(
         }),
     );
     app.run(&mut cuda)?;
+    count_sim_cost(&cuda);
     let exec_time_ns = cuda.exec_time_ns() - cuda.machine.measurement_overhead_ns();
     // The probe (owned by `cuda`) still holds a clone of the state; drop
     // the context first so the trace can be moved out without cloning.
@@ -341,6 +350,7 @@ pub fn run_stage3_sync(
     );
 
     app.run(&mut cuda)?;
+    count_sim_cost(&cuda);
     let exec_time_ns = cuda.exec_time_ns();
     cuda.machine.set_access_sink(None);
     let st = state.borrow();
@@ -435,6 +445,7 @@ pub fn run_stage3_hash(
     );
 
     app.run(&mut cuda)?;
+    count_sim_cost(&cuda);
     let exec_time_ns = cuda.exec_time_ns();
     let st = state.borrow();
     Ok(Stage3Result {
@@ -571,6 +582,7 @@ pub fn run_stage4(
     );
 
     app.run(&mut cuda)?;
+    count_sim_cost(&cuda);
     let exec_time_ns = cuda.exec_time_ns();
     cuda.machine.set_access_sink(None);
     let st = state.borrow();

@@ -6,6 +6,12 @@
 //! machine must be genuine. Host accesses optionally notify a registered
 //! observer, which is how the instrumentation layer implements load/store
 //! tracing of GPU-writable address ranges.
+//!
+//! Contents stay byte-accurate, but backing is lazy: an allocation holds
+//! no bytes until its first write (or non-zero fill) materializes all of
+//! it at once, zeroed. Until then it reads as zeros, so an application
+//! that allocates scratch buffers it never touches (cumf_als' 8 MiB
+//! malloc/free loop) pays nothing for them.
 
 use std::collections::BTreeMap;
 
@@ -77,8 +83,35 @@ impl std::error::Error for MemError {}
 #[derive(Debug, Clone)]
 struct Alloc {
     base: u64,
+    /// Logical size in bytes; what bounds checks and accounting use.
+    size: u64,
+    /// Backing bytes: empty while untouched (reads as zeros), otherwise
+    /// exactly `size` bytes.
     data: Vec<u8>,
     kind: HostAllocKind,
+}
+
+impl Alloc {
+    /// Offsets `[off, end)` of an access of `len` bytes at `addr`, which
+    /// lies inside this allocation, or `OutOfBounds` if it runs past the
+    /// end (overflowing lengths included).
+    fn span(&self, addr: u64, len: u64) -> Result<std::ops::Range<usize>, MemError> {
+        let off = addr - self.base;
+        match off.checked_add(len) {
+            Some(end) if end <= self.size => Ok(off as usize..end as usize),
+            _ => Err(MemError::OutOfBounds { addr, len, alloc_size: self.size }),
+        }
+    }
+
+    /// Back the whole allocation if it is still untouched; returns the
+    /// number of bytes newly backed.
+    fn materialize(&mut self) -> u64 {
+        if !self.data.is_empty() {
+            return 0;
+        }
+        self.data = vec![0u8; self.size as usize];
+        self.size
+    }
 }
 
 /// Whether an observed host access was a read or a write.
@@ -107,12 +140,17 @@ pub struct Range {
 }
 
 impl Range {
+    /// `[start, start + len)`, clamped to end at `u64::MAX` if it would
+    /// run past the end of the address space.
     pub fn new(start: u64, len: u64) -> Self {
-        Self { start, end: start + len }
+        Self { start, end: start.saturating_add(len) }
     }
 
+    /// Whether an access of `len` bytes at `addr` touches this range. An
+    /// access running past the end of the address space covers every
+    /// address from `addr` up.
     pub fn overlaps(&self, addr: u64, len: u64) -> bool {
-        addr < self.end && addr + len > self.start
+        addr < self.end && addr.checked_add(len).is_none_or(|end| end > self.start)
     }
 }
 
@@ -132,23 +170,33 @@ pub struct AddressSpace {
     live_bytes: u64,
     /// Monotonically increasing count of allocations ever made.
     total_allocs: u64,
+    /// Monotonically increasing count of bytes ever backed.
+    materialized_bytes: u64,
 }
 
 impl AddressSpace {
     /// An empty address space whose first allocation lands at `base`.
     pub fn new(base: u64) -> Self {
-        Self { allocs: BTreeMap::new(), next: base.max(0x1000), live_bytes: 0, total_allocs: 0 }
+        Self {
+            allocs: BTreeMap::new(),
+            next: base.max(0x1000),
+            live_bytes: 0,
+            total_allocs: 0,
+            materialized_bytes: 0,
+        }
     }
 
     /// Allocate `size` zeroed bytes of the given kind, returning the base
     /// address. Allocations are padded to 256-byte alignment so distinct
-    /// allocations never share a "page".
+    /// allocations never share a "page". No bytes are backed until the
+    /// first write.
     pub fn alloc(&mut self, size: u64, kind: HostAllocKind) -> u64 {
         let base = self.next;
-        let padded = size.max(1).div_ceil(256) * 256;
+        let size = size.max(1);
+        let padded = size.div_ceil(256) * 256;
         self.next += padded + 256;
-        self.allocs.insert(base, Alloc { base, data: vec![0u8; size.max(1) as usize], kind });
-        self.live_bytes += size.max(1);
+        self.allocs.insert(base, Alloc { base, size, data: Vec::new(), kind });
+        self.live_bytes += size;
         self.total_allocs += 1;
         base
     }
@@ -157,7 +205,7 @@ impl AddressSpace {
     pub fn free(&mut self, addr: u64) -> Result<(), MemError> {
         match self.allocs.remove(&addr) {
             Some(a) => {
-                self.live_bytes -= a.data.len() as u64;
+                self.live_bytes -= a.size;
                 Ok(())
             }
             None => Err(MemError::BadFree { addr }),
@@ -166,11 +214,7 @@ impl AddressSpace {
 
     /// The allocation containing `addr`, if any.
     fn containing(&self, addr: u64) -> Option<&Alloc> {
-        self.allocs
-            .range(..=addr)
-            .next_back()
-            .map(|(_, a)| a)
-            .filter(|a| addr < a.base + a.data.len() as u64)
+        self.allocs.range(..=addr).next_back().map(|(_, a)| a).filter(|a| addr < a.base + a.size)
     }
 
     fn containing_mut(&mut self, addr: u64) -> Option<&mut Alloc> {
@@ -178,7 +222,7 @@ impl AddressSpace {
             .range_mut(..=addr)
             .next_back()
             .map(|(_, a)| a)
-            .filter(|a| addr < a.base + a.data.len() as u64)
+            .filter(|a| addr < a.base + a.size)
     }
 
     /// Kind of the allocation containing `addr`.
@@ -200,7 +244,7 @@ impl AddressSpace {
 
     /// Size of the allocation based exactly at `addr`.
     pub fn size_of(&self, addr: u64) -> Option<u64> {
-        self.allocs.get(&addr).map(|a| a.data.len() as u64)
+        self.allocs.get(&addr).map(|a| a.size)
     }
 
     /// Whether `addr` is inside a live allocation.
@@ -208,42 +252,39 @@ impl AddressSpace {
         self.containing(addr).is_some()
     }
 
-    /// Copy `len` bytes starting at `addr` out of the space.
+    /// Copy `len` bytes starting at `addr` out of the space. Reading an
+    /// untouched allocation returns zeros without backing it.
     pub fn read(&self, addr: u64, len: u64) -> Result<Vec<u8>, MemError> {
         let a = self.containing(addr).ok_or(MemError::Unmapped { addr })?;
-        let off = (addr - a.base) as usize;
-        let end = off + len as usize;
-        if end > a.data.len() {
-            return Err(MemError::OutOfBounds { addr, len, alloc_size: a.data.len() as u64 });
+        let span = a.span(addr, len)?;
+        if a.data.is_empty() {
+            return Ok(vec![0u8; span.len()]);
         }
-        Ok(a.data[off..end].to_vec())
+        Ok(a.data[span].to_vec())
     }
 
-    /// Write `bytes` into the space at `addr`.
+    /// Write `bytes` into the space at `addr`, backing the allocation if
+    /// this is its first write.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemError> {
         let a = self.containing_mut(addr).ok_or(MemError::Unmapped { addr })?;
-        let off = (addr - a.base) as usize;
-        let end = off + bytes.len();
-        if end > a.data.len() {
-            return Err(MemError::OutOfBounds {
-                addr,
-                len: bytes.len() as u64,
-                alloc_size: a.data.len() as u64,
-            });
-        }
-        a.data[off..end].copy_from_slice(bytes);
+        let span = a.span(addr, bytes.len() as u64)?;
+        let backed = a.materialize();
+        a.data[span].copy_from_slice(bytes);
+        self.materialized_bytes += backed;
         Ok(())
     }
 
-    /// Fill `len` bytes at `addr` with `value`.
+    /// Fill `len` bytes at `addr` with `value`. Zero-filling an untouched
+    /// allocation leaves it untouched; any other fill backs it.
     pub fn fill(&mut self, addr: u64, len: u64, value: u8) -> Result<(), MemError> {
         let a = self.containing_mut(addr).ok_or(MemError::Unmapped { addr })?;
-        let off = (addr - a.base) as usize;
-        let end = off + len as usize;
-        if end > a.data.len() {
-            return Err(MemError::OutOfBounds { addr, len, alloc_size: a.data.len() as u64 });
+        let span = a.span(addr, len)?;
+        if value == 0 && a.data.is_empty() {
+            return Ok(());
         }
-        a.data[off..end].fill(value);
+        let backed = a.materialize();
+        a.data[span].fill(value);
+        self.materialized_bytes += backed;
         Ok(())
     }
 
@@ -260,6 +301,13 @@ impl AddressSpace {
     /// Number of allocations ever made.
     pub fn total_allocs(&self) -> u64 {
         self.total_allocs
+    }
+
+    /// Bytes ever backed by real memory: the sum of the sizes of every
+    /// allocation that has been written (or filled with a non-zero value).
+    /// Monotone; freeing does not lower it.
+    pub fn materialized_bytes(&self) -> u64 {
+        self.materialized_bytes
     }
 }
 
@@ -350,5 +398,110 @@ mod tests {
         assert!(!r.overlaps(150, 1));
         assert!(r.overlaps(90, 20));
         assert!(!r.overlaps(90, 10));
+    }
+
+    #[test]
+    fn oversized_read_fails_closed() {
+        let mut m = AddressSpace::new(0x10_000);
+        let p = m.alloc(64, HostAllocKind::Pageable);
+        for len in [u64::MAX, u64::MAX - 1, u64::MAX - 63] {
+            assert_eq!(
+                m.read(p + 1, len),
+                Err(MemError::OutOfBounds { addr: p + 1, len, alloc_size: 64 })
+            );
+        }
+        assert_eq!(m.materialized_bytes(), 0);
+    }
+
+    #[test]
+    fn oversized_write_fails_closed() {
+        let mut m = AddressSpace::new(0x10_000);
+        let p = m.alloc(64, HostAllocKind::Pageable);
+        assert_eq!(
+            m.write(p + 63, &[1, 2]),
+            Err(MemError::OutOfBounds { addr: p + 63, len: 2, alloc_size: 64 })
+        );
+        assert_eq!(m.materialized_bytes(), 0, "a rejected write must not back the allocation");
+        assert_eq!(m.read(p, 64).unwrap(), vec![0u8; 64]);
+    }
+
+    #[test]
+    fn oversized_fill_fails_closed() {
+        let mut m = AddressSpace::new(0x10_000);
+        let p = m.alloc(64, HostAllocKind::Pageable);
+        for value in [0, 0xAB] {
+            assert_eq!(
+                m.fill(p + 1, u64::MAX, value),
+                Err(MemError::OutOfBounds { addr: p + 1, len: u64::MAX, alloc_size: 64 })
+            );
+        }
+        assert_eq!(m.materialized_bytes(), 0);
+    }
+
+    #[test]
+    fn oversized_ranges_clamp_to_the_address_space_end() {
+        let r = Range::new(u64::MAX - 10, 100);
+        assert_eq!(r.end, u64::MAX);
+        assert!(r.overlaps(u64::MAX - 5, 1));
+        // An access that would run past the end covers everything from
+        // its start up, so it overlaps a range above it...
+        assert!(Range::new(100, 50).overlaps(120, u64::MAX));
+        assert!(Range::new(100, 50).overlaps(0, u64::MAX));
+        // ...but never one that ends before it starts.
+        assert!(!Range::new(100, 50).overlaps(150, u64::MAX));
+    }
+
+    #[test]
+    fn untouched_allocation_is_never_materialized() {
+        let mut m = AddressSpace::new(0x10_000);
+        let p = m.alloc(8 << 20, HostAllocKind::Pageable);
+        assert_eq!(m.live_bytes(), 8 << 20);
+        m.free(p).unwrap();
+        assert_eq!(m.materialized_bytes(), 0);
+    }
+
+    #[test]
+    fn zero_fill_of_untouched_allocation_does_not_materialize() {
+        let mut m = AddressSpace::new(0x10_000);
+        let p = m.alloc(4096, HostAllocKind::Pageable);
+        m.fill(p, 4096, 0).unwrap();
+        m.fill(p + 10, 20, 0).unwrap();
+        assert_eq!(m.materialized_bytes(), 0);
+        assert_eq!(m.read(p, 4096).unwrap(), vec![0u8; 4096]);
+    }
+
+    #[test]
+    fn first_write_materializes_the_whole_allocation() {
+        let mut m = AddressSpace::new(0x10_000);
+        let p = m.alloc(4096, HostAllocKind::Pageable);
+        m.write(p + 100, &[7]).unwrap();
+        assert_eq!(m.materialized_bytes(), 4096);
+        // Later writes and fills reuse the backing; the total is monotone.
+        m.write(p, &[1, 2, 3]).unwrap();
+        m.fill(p + 200, 8, 0xFF).unwrap();
+        m.free(p).unwrap();
+        assert_eq!(m.materialized_bytes(), 4096);
+        // A non-zero fill backs an untouched allocation too.
+        let q = m.alloc(100, HostAllocKind::Pageable);
+        m.fill(q, 1, 1).unwrap();
+        assert_eq!(m.materialized_bytes(), 4196);
+    }
+
+    #[test]
+    fn reading_untouched_allocation_returns_zeros_without_materializing() {
+        let mut m = AddressSpace::new(0x10_000);
+        let p = m.alloc(1000, HostAllocKind::Pageable);
+        assert_eq!(m.read(p + 10, 990).unwrap(), vec![0u8; 990]);
+        assert_eq!(m.read(p + 999, 0).unwrap(), Vec::<u8>::new());
+        assert_eq!(m.materialized_bytes(), 0);
+    }
+
+    #[test]
+    fn zero_fill_after_materialization_clears_bytes() {
+        let mut m = AddressSpace::new(0x10_000);
+        let p = m.alloc(8, HostAllocKind::Pageable);
+        m.write(p, &[9u8; 8]).unwrap();
+        m.fill(p + 2, 4, 0).unwrap();
+        assert_eq!(m.read(p, 8).unwrap(), vec![9, 9, 0, 0, 0, 0, 9, 9]);
     }
 }

@@ -3,9 +3,96 @@
 // Gated: run with `--features extern-testing` (see workspace README).
 #![cfg(feature = "extern-testing")]
 
+use std::collections::BTreeMap;
+
 use gpu_sim::clock::{merged_duration, Span};
-use gpu_sim::{AddressSpace, Device, Direction, GpuOpKind, HostAllocKind, StreamId};
+use gpu_sim::{AddressSpace, Device, Direction, GpuOpKind, HostAllocKind, MemError, StreamId};
 use proptest::prelude::*;
+
+/// Eager reference model of [`AddressSpace`]: every allocation is backed
+/// by a zeroed `Vec<u8>` from the moment it is made, and bounds are
+/// checked in `u128` so no length can wrap.
+struct EagerSpace {
+    next: u64,
+    allocs: BTreeMap<u64, (Vec<u8>, HostAllocKind)>,
+}
+
+impl EagerSpace {
+    fn new(base: u64) -> Self {
+        Self { next: base.max(0x1000), allocs: BTreeMap::new() }
+    }
+
+    fn alloc(&mut self, size: u64, kind: HostAllocKind) -> u64 {
+        let size = size.max(1);
+        let base = self.next;
+        self.next += size.div_ceil(256) * 256 + 256;
+        self.allocs.insert(base, (vec![0; size as usize], kind));
+        base
+    }
+
+    fn free(&mut self, addr: u64) -> Result<(), MemError> {
+        self.allocs.remove(&addr).map(|_| ()).ok_or(MemError::BadFree { addr })
+    }
+
+    fn base_of(&self, addr: u64) -> Option<u64> {
+        let (&base, (data, _)) = self.allocs.range(..=addr).next_back()?;
+        (addr - base < data.len() as u64).then_some(base)
+    }
+
+    /// `(base, off, end)` of an access, or the error the space must give.
+    fn span(&self, addr: u64, len: u64) -> Result<(u64, usize, usize), MemError> {
+        let base = self.base_of(addr).ok_or(MemError::Unmapped { addr })?;
+        let size = self.allocs[&base].0.len() as u64;
+        let off = addr - base;
+        if off as u128 + len as u128 > size as u128 {
+            return Err(MemError::OutOfBounds { addr, len, alloc_size: size });
+        }
+        Ok((base, off as usize, (off + len) as usize))
+    }
+
+    fn read(&self, addr: u64, len: u64) -> Result<Vec<u8>, MemError> {
+        let (base, off, end) = self.span(addr, len)?;
+        Ok(self.allocs[&base].0[off..end].to_vec())
+    }
+
+    fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemError> {
+        let (base, off, end) = self.span(addr, bytes.len() as u64)?;
+        self.allocs.get_mut(&base).unwrap().0[off..end].copy_from_slice(bytes);
+        Ok(())
+    }
+
+    fn fill(&mut self, addr: u64, len: u64, value: u8) -> Result<(), MemError> {
+        let (base, off, end) = self.span(addr, len)?;
+        self.allocs.get_mut(&base).unwrap().0[off..end].fill(value);
+        Ok(())
+    }
+
+    fn set_kind(&mut self, addr: u64, kind: HostAllocKind) -> Result<(), MemError> {
+        let base = self.base_of(addr).ok_or(MemError::Unmapped { addr })?;
+        self.allocs.get_mut(&base).unwrap().1 = kind;
+        Ok(())
+    }
+
+    fn kind_of(&self, addr: u64) -> Option<HostAllocKind> {
+        self.base_of(addr).map(|b| self.allocs[&b].1)
+    }
+
+    fn size_of(&self, addr: u64) -> Option<u64> {
+        self.allocs.get(&addr).map(|(d, _)| d.len() as u64)
+    }
+
+    fn live_bytes(&self) -> u64 {
+        self.allocs.values().map(|(d, _)| d.len() as u64).sum()
+    }
+}
+
+/// An arbitrary address-space operation: (op, pick, offset, length
+/// selector, value). `pick` chooses a target among every base ever
+/// returned (freed ones included) or a raw address; `offset` may land
+/// past the allocation's end, in padding or in the next allocation.
+fn mem_op_strategy() -> impl Strategy<Value = (u8, u64, u64, u8, u8)> {
+    (0u8..7, any::<u64>(), 0u64..2_200, 0u8..10, any::<u8>())
+}
 
 /// An arbitrary op request: (delay before enqueue, stream, is_copy, duration).
 fn op_strategy() -> impl Strategy<Value = (u64, u32, bool, u64)> {
@@ -88,6 +175,66 @@ proptest! {
         }
         prop_assert_eq!(m.live_bytes(), 0);
         prop_assert_eq!(m.live_allocs(), 0);
+    }
+
+    /// Lazily backed allocations are indistinguishable from eagerly
+    /// zero-filled ones: every operation, valid or not, gives the same
+    /// result or error as the eager model, and so do the accounting
+    /// queries after it.
+    #[test]
+    fn lazy_address_space_matches_eager_model(
+        ops in proptest::collection::vec(mem_op_strategy(), 1..120),
+    ) {
+        const KINDS: [HostAllocKind; 3] =
+            [HostAllocKind::Pageable, HostAllocKind::Pinned, HostAllocKind::Unified];
+        let mut lazy = AddressSpace::new(0x1000);
+        let mut eager = EagerSpace::new(0x1000);
+        let mut bases: Vec<u64> = Vec::new();
+        for (op, pick, off, len_sel, value) in ops {
+            let (base, target) = match pick as usize % (bases.len() + 1) {
+                i if i < bases.len() => (bases[i], bases[i] + off),
+                _ => (pick >> (pick % 64), pick >> (pick % 64)),
+            };
+            let len = match len_sel {
+                8 => u64::MAX - (pick & 0xff),
+                9 => 0,
+                _ => (pick >> 32) % 300,
+            };
+            // Half the fills and writes use zero, to cover the no-op path.
+            let value = if value < 128 { 0 } else { value };
+            let kind = KINDS[(pick % 3) as usize];
+            match op {
+                0 => {
+                    let size = off % 2_100;
+                    let p = lazy.alloc(size, kind);
+                    prop_assert_eq!(p, eager.alloc(size, kind));
+                    bases.push(p);
+                }
+                1 => {
+                    let bytes: Vec<u8> =
+                        (0..len.min(300)).map(|i| value.wrapping_mul(i as u8 | 1)).collect();
+                    prop_assert_eq!(lazy.write(target, &bytes), eager.write(target, &bytes));
+                }
+                2 => prop_assert_eq!(lazy.fill(target, len, value), eager.fill(target, len, value)),
+                3 => prop_assert_eq!(lazy.read(target, len), eager.read(target, len)),
+                4 => {
+                    let addr = if len_sel < 5 { base } else { target };
+                    prop_assert_eq!(lazy.free(addr), eager.free(addr));
+                }
+                5 => prop_assert_eq!(lazy.set_kind(target, kind), eager.set_kind(target, kind)),
+                _ => prop_assert_eq!(lazy.kind_of(target), eager.kind_of(target)),
+            }
+            prop_assert_eq!(lazy.live_bytes(), eager.live_bytes());
+            prop_assert_eq!(lazy.live_allocs(), eager.allocs.len());
+            prop_assert_eq!(lazy.is_mapped(target), eager.base_of(target).is_some());
+            for &b in &bases {
+                prop_assert_eq!(lazy.size_of(b), eager.size_of(b));
+                prop_assert_eq!(lazy.is_mapped(b), eager.size_of(b).is_some());
+            }
+        }
+        for (&b, (data, _)) in &eager.allocs {
+            prop_assert_eq!(&lazy.read(b, data.len() as u64).unwrap(), data);
+        }
     }
 
     /// Transfer cost is monotone in size for every direction/pinnedness.

@@ -60,6 +60,9 @@ phs = {e['ph'] for e in d['traceEvents']}
 assert {'M', 'X'} <= phs, f'trace needs metadata + duration events, got {phs}'
 assert any(w['thread'].startswith('ffm-pool-') for w in d['workers']), \
     f"no pool-worker track: {[w['thread'] for w in d['workers']]}"
+for counter in ('sim.timeline_events', 'sim.dev_materialized_bytes'):
+    assert d['counters'].get(counter, 0) > 0, \
+        f'simulator cost counter {counter} missing or zero: {d["counters"]}'
 print(f"telemetry smoke ok: {len(d['traceEvents'])} trace events, "
       f"{len(d['workers'])} worker tracks, {len(d['counters'])} counters")
 EOF
