@@ -51,12 +51,12 @@ fn bench_table2_path(c: &mut Criterion) {
 /// Figures 6/8 path: sequence + subsequence evaluation.
 fn bench_figure6_8_path(c: &mut Criterion) {
     let r = run_diogenes(&tiny_als(), DiogenesConfig::new()).unwrap();
+    let graph = r.graph();
     c.bench_function("figure6_8/sequence_family_merge_and_subsequence", |b| {
         b.iter(|| {
-            let fams = diogenes::merge_sequences(&r.report.analysis);
-            fams.first().map(|f| {
-                diogenes::family_subsequence_benefit(&r.report.analysis, f, 1, f.entries.len())
-            })
+            let fams = diogenes::merge_sequences(&r.report.analysis, &graph);
+            fams.first()
+                .map(|f| diogenes::family_subsequence_benefit(&graph, f, 1, f.entries.len()))
         })
     });
 }

@@ -41,12 +41,13 @@ fn main() {
         move || run_ffm(&als(), &honest_cfg).expect("pipeline"),
     );
     let a = &report.analysis;
+    let graph = report.exec_graph(&AnalysisConfig::default().classify);
 
     // ---- 1. carry-forward vs plain Fig. 5 --------------------------------
     println!("== ablation 1: sequence carry-forward ==");
     let plain_total = a.benefit.total_ns;
     let carry_total: u64 =
-        a.sequences.iter().map(|s| carry_forward_benefit(&a.graph, s.start, s.end)).sum();
+        a.sequences.iter().map(|s| carry_forward_benefit(&graph, s.start, s.end)).sum();
     println!("  per-node (Fig. 5)  : {:>12} ns", plain_total);
     println!("  carry-forward       : {:>12} ns over {} sequences", carry_total, a.sequences.len());
     println!(
@@ -57,8 +58,8 @@ fn main() {
 
     // ---- 2. misplaced clamping --------------------------------------------
     println!("== ablation 2: misplaced-synchronization clamping ==");
-    let clamped = expected_benefit(&a.graph, &BenefitOptions { clamp_misplaced: true });
-    let paper_exact = expected_benefit(&a.graph, &BenefitOptions { clamp_misplaced: false });
+    let clamped = expected_benefit(&graph, &BenefitOptions { clamp_misplaced: true });
+    let paper_exact = expected_benefit(&graph, &BenefitOptions { clamp_misplaced: false });
     println!("  clamped estimate    : {:>12} ns", clamped.total_ns);
     println!("  paper-exact estimate: {:>12} ns", paper_exact.total_ns);
     println!(

@@ -163,7 +163,7 @@ fn assert_matches_batch(full: &ExecGraph, window: usize) {
     let mut inc = IncrementalAnalysis::new(&cfg);
     let mut growing = fresh_prefix(full);
     fold_in_windows(&mut inc, &mut growing, full, window);
-    let analysis = inc.finish(growing, full.baseline_exec_ns);
+    let analysis = inc.finish(&growing, full.baseline_exec_ns);
 
     let benefit = expected_benefit(full, &cfg.benefit);
     assert_eq!(analysis.benefit.total_ns, benefit.total_ns, "total benefit diverges");

@@ -17,5 +17,5 @@ fn main() {
     println!("=== Overview (Fig. 7 left) ===");
     print!("{}", render_overview(&r));
     println!("\n=== Expansion of problems at cudaFree (Fig. 7 right) ===");
-    print!("{}", render_fold_expansion(&r, ApiFn::CudaFree));
+    print!("{}", render_fold_expansion(&r, &r.graph(), ApiFn::CudaFree));
 }

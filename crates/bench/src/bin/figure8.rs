@@ -17,5 +17,5 @@ fn main() {
     eprintln!("(full sequence for reference)");
     eprint!("{}", render_sequence(&r, 0));
     println!();
-    print!("{}", render_subsequence(&r, 0, 10, n));
+    print!("{}", render_subsequence(&r, &r.graph(), 0, 10, n));
 }

@@ -31,10 +31,15 @@ pub struct ProblemOp {
 }
 
 /// The complete stage 5 output.
+///
+/// The classified [`ExecGraph`] the analysis ran over is an intermediate
+/// and is not kept: node indices here refer to it, and [`build_graph`]
+/// (or [`crate::FfmReport::exec_graph`]) rebuilds it from the stage 1–4
+/// records when a drill-down needs it.
 #[derive(Debug, Clone)]
 pub struct Analysis {
-    /// The classified execution graph.
-    pub graph: ExecGraph,
+    /// Number of nodes in the classified execution graph.
+    pub graph_nodes: usize,
     /// Per-node expected benefit (Fig. 5).
     pub benefit: BenefitReport,
     /// Problematic operations, sorted by descending benefit.
@@ -84,6 +89,22 @@ impl Analysis {
     }
 }
 
+/// The classified execution graph stage 5 analyzes: the CPU graph of the
+/// stage 2 trace, annotated with stage 3/4 evidence. The one way to get
+/// a graph from stage records — [`analyze`] builds its graph here, and
+/// drill-downs rebuild the same graph from a report's records.
+pub fn build_graph(
+    s1: &Stage1Result,
+    s2: &Stage2Result,
+    s3: &Stage3Result,
+    s4: &Stage4Result,
+    cfg: &ClassifyConfig,
+) -> ExecGraph {
+    let mut graph = ExecGraph::from_trace(s2, s1.exec_time_ns);
+    classify(&mut graph, s3, s4, cfg);
+    graph
+}
+
 /// Run stage 5 over the collected stage results.
 ///
 /// `jobs` is the resolved worker budget from the pipeline configuration,
@@ -98,8 +119,7 @@ pub fn analyze(
     cfg: &AnalysisConfig,
     jobs: usize,
 ) -> Analysis {
-    let mut graph = ExecGraph::from_trace(s2, s1.exec_time_ns);
-    classify(&mut graph, s3, s4, &cfg.classify);
+    let graph = build_graph(s1, s2, s3, s4, &cfg.classify);
     let benefit = expected_benefit(&graph, &cfg.benefit);
     let mut problems: Vec<ProblemOp> = benefit
         .per_node
@@ -122,7 +142,7 @@ pub fn analyze(
     let mut by_api: Vec<(ApiFn, Ns)> = savings_by_api(&graph, &benefit);
     by_api.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     Analysis {
-        graph,
+        graph_nodes: graph.nodes.len(),
         benefit,
         problems,
         single_point,
@@ -148,7 +168,7 @@ mod tests {
         wait: Ns,
     ) -> crate::records::TracedCall {
         let stack = StackTrace {
-            frames: vec![gpu_sim::Frame::new(api.name(), SourceLoc::new("app.cpp", line))],
+            frames: vec![gpu_sim::Frame::new(api.name(), SourceLoc::new("app.cpp", line))].into(),
         };
         let sig = stack.address_signature();
         crate::records::TracedCall {

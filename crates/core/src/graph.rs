@@ -212,11 +212,13 @@ impl GraphBuilder {
         GraphBuilder::with_capacity(baseline_exec_ns, 0)
     }
 
-    /// Builder with node storage pre-sized for `calls_hint` traced calls.
+    /// Builder with node storage pre-sized for `calls_hint` traced calls:
+    /// each call adds at most three nodes (gap work, body, wait), and
+    /// sealing adds at most one.
     pub fn with_capacity(baseline_exec_ns: Ns, calls_hint: usize) -> GraphBuilder {
         GraphBuilder {
             graph: ExecGraph {
-                nodes: Vec::with_capacity(calls_hint * 2 + 1),
+                nodes: Vec::with_capacity(calls_hint * 3 + 1),
                 exec_time_ns: 0,
                 baseline_exec_ns,
             },
@@ -547,6 +549,25 @@ mod tests {
             transfer: None,
             is_launch: launch,
         }
+    }
+
+    #[test]
+    fn capacity_hint_covers_three_nodes_per_call() {
+        // Every call has a gap before it, a non-waiting body and a wait:
+        // three nodes each, plus the trailing work node.
+        let n = 50;
+        let calls: Vec<TracedCall> = (0..n)
+            .map(|i| {
+                let enter = i as Ns * 100 + 10;
+                call(i, ApiFn::CudaMemcpy, enter, enter + 50, 20, false)
+            })
+            .collect();
+        let trace = Stage2Result { exec_time_ns: n as Ns * 100 + 10, calls };
+        let g = ExecGraph::from_trace(&trace, trace.exec_time_ns);
+        assert_eq!(g.nodes.len(), 3 * n + 1);
+        // `Vec::with_capacity` allocates exactly the requested capacity,
+        // so any reallocation would show up as a larger one.
+        assert_eq!(g.nodes.capacity(), 3 * n + 1, "node storage reallocated");
     }
 
     #[test]

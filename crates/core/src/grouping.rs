@@ -840,7 +840,7 @@ impl IncrementalAnalysis {
         debug_assert_eq!(graph.nodes.len(), self.folded_nodes(), "snapshot mid-append");
         let (benefit, problems, single_point, api_folds, sequences, by_api) = self.assemble(graph);
         Analysis {
-            graph: graph.clone(),
+            graph_nodes: graph.nodes.len(),
             benefit,
             problems,
             single_point,
@@ -855,18 +855,18 @@ impl IncrementalAnalysis {
     /// materialize the final analysis. The result is structurally
     /// identical to [`crate::analyze`] over the same classified graph —
     /// the identity `streaming_identity` pins at the report-byte level.
-    pub fn finish(mut self, graph: ExecGraph, baseline_exec_ns: Ns) -> Analysis {
+    pub fn finish(mut self, graph: &ExecGraph, baseline_exec_ns: Ns) -> Analysis {
         debug_assert_eq!(graph.nodes.len(), self.folded_nodes(), "finish before final fold");
-        self.fold.finalize(&graph, &self.cpu_prefix, &self.cfg.benefit);
+        self.fold.finalize(graph, &self.cpu_prefix, &self.cfg.benefit);
         let resolved = &self.fold.per_node()[self.absorbed..];
         self.sp.absorb(resolved, |i| graph.nodes[i].instance.map(|inst| inst.sig));
         self.af.absorb(resolved, |i| graph.nodes[i].api.map(|a| a.index() as u64));
         self.absorbed = self.fold.per_node().len();
         let candidate_runs = self.runs.len() + usize::from(self.open_start.is_some());
         crate::telemetry::counter_add("grouping.candidate_runs", candidate_runs as u64);
-        let (benefit, problems, single_point, api_folds, sequences, by_api) = self.assemble(&graph);
+        let (benefit, problems, single_point, api_folds, sequences, by_api) = self.assemble(graph);
         Analysis {
-            graph,
+            graph_nodes: graph.nodes.len(),
             benefit,
             problems,
             single_point,
@@ -1372,7 +1372,7 @@ mod tests {
         let mut by_api = savings_by_api(graph, &benefit);
         by_api.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         Analysis {
-            graph: graph.clone(),
+            graph_nodes: graph.nodes.len(),
             benefit,
             problems,
             single_point,
@@ -1455,7 +1455,7 @@ mod tests {
                 if len == 0 {
                     inc.fold(&growing);
                 }
-                let got = inc.finish(growing, full.baseline_exec_ns);
+                let got = inc.finish(&growing, full.baseline_exec_ns);
                 assert_same_analysis(&got, &want, &format!("len={len} seed={seed} w={window}"));
             }
         }
@@ -1486,7 +1486,7 @@ mod tests {
                 lo = hi;
             }
             let want = batch_analysis(&growing, 1);
-            let got = inc.finish(growing, want.baseline_exec_ns);
+            let got = inc.finish(&growing, want.baseline_exec_ns);
             assert_same_analysis(&got, &want, &format!("final w={window}"));
         }
     }
@@ -1510,7 +1510,7 @@ mod tests {
             growing.nodes.extend(chunk.iter().cloned());
             inc.fold(&growing);
         }
-        let got = inc.finish(growing, g.baseline_exec_ns);
+        let got = inc.finish(&growing, g.baseline_exec_ns);
         assert_same_analysis(&got, &want, "after reset");
     }
 }

@@ -78,7 +78,7 @@ pub mod store;
 pub mod sweep;
 pub mod telemetry;
 
-pub use analysis::{analyze, Analysis, AnalysisConfig, ProblemOp};
+pub use analysis::{analyze, build_graph, Analysis, AnalysisConfig, ProblemOp};
 pub use benefit::{
     expected_benefit, expected_benefit_reference, BenefitFold, BenefitOptions, BenefitPass,
     BenefitReport, BenefitSummary, FoldTail, NodeBenefit,

@@ -40,12 +40,12 @@ use cuda_driver::{CudaResult, DriverConfig, GpuApp};
 use gpu_sim::{CostModel, Ns};
 use instrument::Discovery;
 
-use crate::analysis::{Analysis, AnalysisConfig};
+use crate::analysis::{build_graph, Analysis, AnalysisConfig};
 use crate::engine::{epoch_key, run_collection, run_stages, CollectOut};
-use crate::graph::GraphBuilder;
+use crate::graph::{ExecGraph, GraphBuilder};
 use crate::grouping::IncrementalAnalysis;
 use crate::par::effective_jobs;
-use crate::problem::classify_range;
+use crate::problem::{classify_range, ClassifyConfig};
 use crate::records::{Stage1Result, Stage2Result, Stage3Result, Stage4Result};
 use crate::store::{Artifact, ArtifactStore, StageKey};
 use crate::telemetry;
@@ -116,6 +116,13 @@ pub struct FfmReport {
 }
 
 impl FfmReport {
+    /// Rebuild the classified execution graph the analysis ran over
+    /// ([`build_graph`] over this report's stage 1–4 records). `cfg` must
+    /// be the classification the report was produced with.
+    pub fn exec_graph(&self, cfg: &ClassifyConfig) -> ExecGraph {
+        build_graph(&self.stage1, &self.stage2, &self.stage3, &self.stage4, cfg)
+    }
+
     /// Total data-collection cost relative to one baseline run.
     pub fn collection_overhead_factor(&self) -> f64 {
         overhead_factor(self.collection_total_ns, self.stage1.exec_time_ns)
@@ -300,7 +307,7 @@ pub fn run_ffm_streaming_with_store(
             publish(&EpochSnapshot {
                 epoch,
                 calls_consumed: consumed,
-                nodes: analysis.graph.nodes.len(),
+                nodes: analysis.graph_nodes,
                 key: epoch_key(col.stage5_key, window, epoch),
                 analysis: &analysis,
             });
@@ -311,14 +318,16 @@ pub fn run_ffm_streaming_with_store(
     // everything still pending under end-of-trace semantics.
     builder.seal(col.stage2.exec_time_ns);
     inc.fold(builder.graph());
-    let analysis = Arc::new(inc.finish(builder.into_graph(), col.stage1.exec_time_ns));
+    let analysis = Arc::new(inc.finish(builder.graph(), col.stage1.exec_time_ns));
+    // The analysis does not keep the graph: free it now.
+    drop(builder);
     if let Some(store) = store {
         store.put(col.stage5_key, Artifact::Analysis(analysis.clone()));
     }
     publish(&EpochSnapshot {
         epoch,
         calls_consumed: calls.len(),
-        nodes: analysis.graph.nodes.len(),
+        nodes: analysis.graph_nodes,
         key: epoch_key(col.stage5_key, window, epoch),
         analysis: &analysis,
     });
@@ -342,7 +351,7 @@ fn record_collection_metrics(
     telemetry::counter_add("stage3.digest_bytes", stage3.hashed_bytes);
     telemetry::counter_add("stage3.duplicate_transfers", stage3.duplicates.len() as u64);
     telemetry::counter_add("stage4.first_use_gaps", stage4.first_use_ns.len() as u64);
-    telemetry::counter_add("graph.nodes", analysis.graph.nodes.len() as u64);
+    telemetry::counter_add("graph.nodes", analysis.graph_nodes as u64);
     telemetry::counter_add("analysis.problems", analysis.problems.len() as u64);
     telemetry::counter_add("analysis.sequences", analysis.sequences.len() as u64);
 }

@@ -26,7 +26,8 @@ fn fresh_context(cost: &CostModel, cfg: &DriverConfig) -> Cuda {
 
 /// Count what one app run cost the simulator, so `--profile` shows it.
 fn count_sim_cost(cuda: &Cuda) {
-    telemetry::counter_add("sim.timeline_events", cuda.machine.timeline.events().len() as u64);
+    telemetry::counter_add("sim.timeline_events", cuda.machine.timeline.len() as u64);
+    telemetry::counter_add("sim.stacks_interned", cuda.machine.stacks_interned() as u64);
     telemetry::counter_add("sim.dev_materialized_bytes", cuda.machine.dev.materialized_bytes());
 }
 
@@ -225,7 +226,11 @@ pub fn run_stage2(
     let st = Rc::try_unwrap(state)
         .map(RefCell::into_inner)
         .unwrap_or_else(|_| panic!("stage 2 state still shared"));
-    Ok(Stage2Result { exec_time_ns, calls: st.calls })
+    // The result outlives the run (reports and the store keep it): drop
+    // the push-doubling slack.
+    let mut calls = st.calls;
+    calls.shrink_to_fit();
+    Ok(Stage2Result { exec_time_ns, calls })
 }
 
 // ---------------------------------------------------------------------------

@@ -641,7 +641,8 @@ mod tests {
                     frames: vec![
                         Frame::new("main", sample_loc(1)),
                         Frame::new("thrust::copy<float>", sample_loc(856)),
-                    ],
+                    ]
+                    .into(),
                 },
                 sig: 0xdead_beef,
                 folded_sig: 0xfeed_face,
@@ -735,11 +736,7 @@ mod tests {
 
     fn empty_analysis() -> Analysis {
         Analysis {
-            graph: crate::graph::ExecGraph {
-                nodes: Vec::new(),
-                exec_time_ns: 0,
-                baseline_exec_ns: 0,
-            },
+            graph_nodes: 0,
             benefit: crate::benefit::BenefitReport {
                 per_node: Vec::new(),
                 total_ns: 0,

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use cuda_driver::ApiFn;
-use ffm_core::Problem;
+use ffm_core::{ExecGraph, Problem};
 use gpu_sim::{fold_template_name, Ns};
 
 use crate::seqfam::family_subsequence_benefit;
@@ -69,13 +69,13 @@ pub fn render_overview(r: &DiogenesResult) -> String {
 
 /// The expansion of one API fold by enclosing function (paper Fig. 7,
 /// right panel): template instances fold together, labeled by the first
-/// instance's full name.
-pub fn render_fold_expansion(r: &DiogenesResult, api: ApiFn) -> String {
+/// instance's full name. `graph` is [`DiogenesResult::graph`].
+pub fn render_fold_expansion(r: &DiogenesResult, graph: &ExecGraph, api: ApiFn) -> String {
     let a = &r.report.analysis;
     // Group per enclosing (parent) function, folded.
     let mut benefit_by_parent: HashMap<String, (Ns, String, Problem)> = HashMap::new();
     for nb in &a.benefit.per_node {
-        let node = &a.graph.nodes[nb.node];
+        let node = &graph.nodes[nb.node];
         if node.api != Some(api) {
             continue;
         }
@@ -147,12 +147,19 @@ pub fn render_sequence(r: &DiogenesResult, family_idx: usize) -> String {
     out
 }
 
-/// The subsequence refinement (paper Fig. 8).
-pub fn render_subsequence(r: &DiogenesResult, family_idx: usize, from: usize, to: usize) -> String {
+/// The subsequence refinement (paper Fig. 8). `graph` is
+/// [`DiogenesResult::graph`].
+pub fn render_subsequence(
+    r: &DiogenesResult,
+    graph: &ExecGraph,
+    family_idx: usize,
+    from: usize,
+    to: usize,
+) -> String {
     let Some(f) = r.families.get(family_idx) else {
         return "no such sequence".to_string();
     };
-    let Some(benefit) = family_subsequence_benefit(&r.report.analysis, f, from, to) else {
+    let Some(benefit) = family_subsequence_benefit(graph, f, from, to) else {
         return "invalid subsequence range".to_string();
     };
     let mut out = String::new();
@@ -216,7 +223,7 @@ mod tests {
     #[test]
     fn subsequence_renders_refined_estimate() {
         let r = als();
-        let s = render_subsequence(&r, 0, 10, 23);
+        let s = render_subsequence(&r, &r.graph(), 0, 10, 23);
         assert!(s.contains("Time Recoverable In Subsequence:"), "{s}");
         assert!(s.contains("10."), "{s}");
         assert!(!s.contains(" 9."), "entries before 10 excluded: {s}");
@@ -227,7 +234,7 @@ mod tests {
         let mut cfg = CuibmConfig::test_scale();
         cfg.cavity.steps = 3;
         let r = run_diogenes(&CuIbm::new(cfg), DiogenesConfig::new()).unwrap();
-        let e = render_fold_expansion(&r, ApiFn::CudaFree);
+        let e = render_fold_expansion(&r, &r.graph(), ApiFn::CudaFree);
         assert!(e.contains("Fold on cudaFree"), "{e}");
         assert!(
             e.contains("thrust::detail::contiguous_storage"),

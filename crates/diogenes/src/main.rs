@@ -606,11 +606,11 @@ fn main() {
             print!("{}", render_sequence(&result, seq_idx));
             if let Some((f, t)) = sub {
                 println!();
-                print!("{}", render_subsequence(&result, seq_idx, f, t));
+                print!("{}", render_subsequence(&result, &result.graph(), seq_idx, f, t));
             }
         }
         "fold" => match ApiFn::from_name(&fold_api) {
-            Some(api) => print!("{}", render_fold_expansion(&result, api)),
+            Some(api) => print!("{}", render_fold_expansion(&result, &result.graph(), api)),
             None => {
                 log_error!("unknown API function {fold_api}");
                 std::process::exit(2);
@@ -624,7 +624,8 @@ fn main() {
             // Complexity weight: an eighth of the family's benefit per
             // distinct site to edit.
             let cost = family.total_benefit_ns / 8;
-            if let Some(c) = best_subsequence(&result.report.analysis, family, cost) {
+            let graph = result.graph();
+            if let Some(c) = best_subsequence(&graph, family, cost) {
                 println!(
                     "
 auto-selected subsequence: entries {}..{} ({} sites to edit, \
@@ -634,7 +635,7 @@ auto-selected subsequence: entries {}..{} ({} sites to edit, \
                     c.sites_to_edit,
                     result.percent(c.benefit_ns)
                 );
-                print!("{}", render_subsequence(&result, seq_idx, c.from, c.to));
+                print!("{}", render_subsequence(&result, &graph, seq_idx, c.from, c.to));
             }
         }
     }

@@ -7,7 +7,7 @@
 //! sequences whose (API, call-site) entry pattern is identical.
 
 use cuda_driver::ApiFn;
-use ffm_core::{Analysis, GraphIndex, Problem, Sequence};
+use ffm_core::{Analysis, ExecGraph, GraphIndex, Problem, Sequence};
 use gpu_sim::{fnv1a_64, Ns, SourceLoc};
 
 /// One displayed operation of a family (paper Fig. 6 line). A call whose
@@ -48,17 +48,15 @@ pub struct SequenceFamily {
 
 /// Build the display entries of one sequence, merging launch+wait nodes
 /// that came from the same traced call.
-fn display_entries(analysis: &Analysis, seq: &Sequence) -> Vec<FamilyEntry> {
+fn display_entries(graph: &ExecGraph, seq: &Sequence) -> Vec<FamilyEntry> {
     let mut out: Vec<FamilyEntry> = Vec::new();
     for e in &seq.entries {
-        let node = &analysis.graph.nodes[e.node];
+        let node = &graph.nodes[e.node];
         let call = node.call_seq;
         let sync = e.problem.is_sync();
         let transfer = e.problem == Problem::UnnecessaryTransfer;
         match out.last_mut() {
-            Some(last)
-                if call.is_some() && analysis.graph.nodes[last.last_node].call_seq == call =>
-            {
+            Some(last) if call.is_some() && graph.nodes[last.last_node].call_seq == call => {
                 last.is_sync_issue |= sync;
                 last.is_transfer_issue |= transfer;
                 last.last_node = e.node;
@@ -91,7 +89,9 @@ fn pattern_key(seq: &Sequence) -> u64 {
 }
 
 /// Merge an analysis' sequences into families, sorted by total benefit.
-pub fn merge_sequences(analysis: &Analysis) -> Vec<SequenceFamily> {
+/// `graph` is the classified graph the analysis ran over
+/// ([`ffm_core::FfmReport::exec_graph`]).
+pub fn merge_sequences(analysis: &Analysis, graph: &ExecGraph) -> Vec<SequenceFamily> {
     let mut families: Vec<SequenceFamily> = Vec::new();
     for seq in &analysis.sequences {
         let key = pattern_key(seq);
@@ -105,7 +105,7 @@ pub fn merge_sequences(analysis: &Analysis) -> Vec<SequenceFamily> {
                 pattern_key: key,
                 occurrences: 1,
                 total_benefit_ns: seq.benefit_ns,
-                entries: display_entries(analysis, seq),
+                entries: display_entries(graph, seq),
                 sync_issues: seq.sync_issues(),
                 transfer_issues: seq.transfer_issues(),
                 representative: seq.clone(),
@@ -121,12 +121,12 @@ pub fn merge_sequences(analysis: &Analysis) -> Vec<SequenceFamily> {
 /// scale by occurrence count (paper Fig. 8 — "does not require additional
 /// data collection").
 pub fn family_subsequence_benefit(
-    analysis: &Analysis,
+    graph: &ExecGraph,
     family: &SequenceFamily,
     from: usize,
     to: usize,
 ) -> Option<Ns> {
-    family_subsequence_benefit_indexed(analysis, &analysis.graph.index(), family, from, to)
+    family_subsequence_benefit_indexed(graph, &graph.index(), family, from, to)
 }
 
 /// [`family_subsequence_benefit`] against a prebuilt [`GraphIndex`], so
@@ -134,7 +134,7 @@ pub fn family_subsequence_benefit(
 /// Problems outside the chosen display range are excluded via a node
 /// mask on the carry-forward estimator — no graph clone per query.
 pub fn family_subsequence_benefit_indexed(
-    analysis: &Analysis,
+    graph: &ExecGraph,
     ix: &GraphIndex,
     family: &SequenceFamily,
     from: usize,
@@ -157,7 +157,7 @@ pub fn family_subsequence_benefit_indexed(
         Ok(_) => n >= lo && n <= hi,
         Err(_) => true,
     };
-    let one = ffm_core::carry_forward_masked(&analysis.graph, ix, lo, seq.end, keep);
+    let one = ffm_core::carry_forward_masked(graph, ix, lo, seq.end, keep);
     Some(one * family.occurrences as Ns)
 }
 
@@ -212,10 +212,10 @@ mod tests {
         // on either side.
         let r = als_result();
         let f = &r.families[0];
-        let a = &r.report.analysis;
-        let ix = a.graph.index();
+        let graph = r.graph();
+        let ix = graph.index();
         for (from, to) in [(1, f.entries.len()), (10, f.entries.len()), (5, 12), (3, 3), (9, 2)] {
-            let got = family_subsequence_benefit(a, f, from, to);
+            let got = family_subsequence_benefit(&graph, f, from, to);
             let reference = (|| {
                 let first = f.entries.iter().find(|e| e.index == from)?;
                 let last = f.entries.iter().find(|e| e.index == to)?;
@@ -223,14 +223,14 @@ mod tests {
                     return None;
                 }
                 let (lo, hi) = (first.first_node, last.last_node);
-                let mut keep = vec![true; a.graph.nodes.len()];
+                let mut keep = vec![true; graph.nodes.len()];
                 for e in &f.representative.entries {
                     if e.node < lo || e.node > hi {
                         keep[e.node] = false;
                     }
                 }
                 let one =
-                    ffm_core::carry_forward_masked(&a.graph, &ix, lo, f.representative.end, |n| {
+                    ffm_core::carry_forward_masked(&graph, &ix, lo, f.representative.end, |n| {
                         keep[n]
                     });
                 Some(one * f.occurrences as Ns)
@@ -243,8 +243,9 @@ mod tests {
     fn subsequence_is_monotone_in_range() {
         let r = als_result();
         let f = &r.families[0];
-        let full = family_subsequence_benefit(&r.report.analysis, f, 1, f.entries.len()).unwrap();
-        let sub = family_subsequence_benefit(&r.report.analysis, f, 10, f.entries.len()).unwrap();
+        let graph = r.graph();
+        let full = family_subsequence_benefit(&graph, f, 1, f.entries.len()).unwrap();
+        let sub = family_subsequence_benefit(&graph, f, 10, f.entries.len()).unwrap();
         assert!(sub <= full, "sub {sub} vs full {full}");
         assert!(sub > 0);
         // Paper Fig. 8: the 10..23 subsequence retains most of the value.
@@ -282,7 +283,7 @@ impl SubsequenceChoice {
 /// the full sequence; a large cost concentrates on the densest core —
 /// exactly the trade the paper describes.
 pub fn best_subsequence(
-    analysis: &Analysis,
+    graph: &ExecGraph,
     family: &SequenceFamily,
     fix_cost_per_site_ns: Ns,
 ) -> Option<SubsequenceChoice> {
@@ -291,12 +292,11 @@ pub fn best_subsequence(
         return None;
     }
     // One index for the whole O(n²) range search.
-    let ix = analysis.graph.index();
+    let ix = graph.index();
     let mut best: Option<SubsequenceChoice> = None;
     for from in 1..=n {
         for to in from..=n {
-            let Some(benefit_ns) =
-                family_subsequence_benefit_indexed(analysis, &ix, family, from, to)
+            let Some(benefit_ns) = family_subsequence_benefit_indexed(graph, &ix, family, from, to)
             else {
                 continue;
             };
@@ -336,20 +336,19 @@ mod autoseq_tests {
     fn zero_cost_selects_the_full_sequence() {
         let r = als_result();
         let f = &r.families[0];
-        let c = best_subsequence(&r.report.analysis, f, 0).unwrap();
+        let graph = r.graph();
+        let c = best_subsequence(&graph, f, 0).unwrap();
         assert_eq!((c.from, c.to), (1, f.entries.len()));
-        assert_eq!(
-            Some(c.benefit_ns),
-            family_subsequence_benefit(&r.report.analysis, f, 1, f.entries.len())
-        );
+        assert_eq!(Some(c.benefit_ns), family_subsequence_benefit(&graph, f, 1, f.entries.len()));
     }
 
     #[test]
     fn high_cost_concentrates_on_fewer_sites() {
         let r = als_result();
         let f = &r.families[0];
-        let cheap = best_subsequence(&r.report.analysis, f, 0).unwrap();
-        let pricey = best_subsequence(&r.report.analysis, f, cheap.benefit_ns / 8).unwrap();
+        let graph = r.graph();
+        let cheap = best_subsequence(&graph, f, 0).unwrap();
+        let pricey = best_subsequence(&graph, f, cheap.benefit_ns / 8).unwrap();
         assert!(pricey.sites_to_edit < cheap.sites_to_edit, "pricey {pricey:?} vs cheap {cheap:?}");
         assert!(pricey.benefit_ns > 0);
     }
@@ -359,13 +358,14 @@ mod autoseq_tests {
         let r = als_result();
         let f = &r.families[0];
         let cost = 50_000;
-        let best = best_subsequence(&r.report.analysis, f, cost).unwrap();
+        let graph = r.graph();
+        let best = best_subsequence(&graph, f, cost).unwrap();
         for from in [1usize, 5, 10] {
             for to in [12usize, 18, f.entries.len()] {
                 if to < from {
                     continue;
                 }
-                if let Some(b) = family_subsequence_benefit(&r.report.analysis, f, from, to) {
+                if let Some(b) = family_subsequence_benefit(&graph, f, from, to) {
                     let sites = f
                         .entries
                         .iter()

@@ -2,7 +2,7 @@
 //! application and hold everything the CLI / exporter needs.
 
 use cuda_driver::{CudaResult, GpuApp};
-use ffm_core::{run_ffm, run_ffm_streaming, FfmConfig, FfmReport};
+use ffm_core::{run_ffm, run_ffm_streaming, ExecGraph, FfmConfig, FfmReport};
 
 use crate::seqfam::{merge_sequences, SequenceFamily};
 
@@ -47,6 +47,13 @@ pub struct DiogenesResult {
 }
 
 impl DiogenesResult {
+    /// Rebuild the classified execution graph the analysis ran over, for
+    /// drill-downs that need node detail (a few ms; the result does not
+    /// keep the graph).
+    pub fn graph(&self) -> ExecGraph {
+        self.report.exec_graph(&self.config.ffm.analysis.classify)
+    }
+
     /// Percent of baseline execution for a duration.
     pub fn percent(&self, ns: gpu_sim::Ns) -> f64 {
         self.report.analysis.percent(ns)
@@ -61,7 +68,8 @@ pub fn run_diogenes(app: &dyn GpuApp, config: DiogenesConfig) -> CudaResult<Diog
     } else {
         run_ffm(app, &config.ffm)?
     };
-    let families = merge_sequences(&report.analysis);
+    let graph = report.exec_graph(&config.ffm.analysis.classify);
+    let families = merge_sequences(&report.analysis, &graph);
     Ok(DiogenesResult { report, families, config })
 }
 

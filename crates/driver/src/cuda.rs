@@ -1268,10 +1268,10 @@ mod tests {
         c.device_synchronize(site()).unwrap();
         c.free(d, site()).unwrap();
         let t = &c.machine.timeline;
-        let covered: u64 = t.events().iter().map(|e| e.span.duration()).sum();
+        let covered: u64 = t.events().map(|e| e.span.duration()).sum();
         assert_eq!(covered, c.exec_time_ns(), "every ns is attributed");
         // events must tile the run: no overlaps
-        for w in t.events().windows(2) {
+        for w in t.events().collect::<Vec<_>>().windows(2) {
             assert!(w[1].span.start >= w[0].span.end, "overlap: {w:?}");
         }
         let _ = Span::new(0, 1);

@@ -95,9 +95,9 @@ proptest! {
     fn timeline_tiles_execution(actions in proptest::collection::vec(action_strategy(), 1..40)) {
         let cuda = run_actions(&actions);
         let t = &cuda.machine.timeline;
-        let covered: u64 = t.events().iter().map(|e| e.span.duration()).sum();
+        let covered: u64 = t.events().map(|e| e.span.duration()).sum();
         prop_assert_eq!(covered, cuda.exec_time_ns());
-        for w in t.events().windows(2) {
+        for w in t.events().collect::<Vec<_>>().windows(2) {
             prop_assert!(w[1].span.start >= w[0].span.end, "overlap {w:?}");
         }
     }

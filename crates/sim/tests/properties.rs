@@ -4,9 +4,14 @@
 #![cfg(feature = "extern-testing")]
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use gpu_sim::clock::{merged_duration, Span};
-use gpu_sim::{AddressSpace, Device, Direction, GpuOpKind, HostAllocKind, MemError, StreamId};
+use gpu_sim::{
+    AddressSpace, CostModel, CpuEvent, CpuEventKind, Device, Direction, Frame, GpuOpKind,
+    HostAllocKind, Machine, MemError, Ns, OpId, SourceLoc, StackTrace, StreamId, Timeline,
+    WaitReason,
+};
 use proptest::prelude::*;
 
 /// Eager reference model of [`AddressSpace`]: every allocation is backed
@@ -92,6 +97,47 @@ impl EagerSpace {
 /// past the allocation's end, in padding or in the next allocation.
 fn mem_op_strategy() -> impl Strategy<Value = (u8, u64, u64, u8, u8)> {
     (0u8..7, any::<u64>(), 0u64..2_200, 0u8..10, any::<u8>())
+}
+
+/// Eager reference model of [`Timeline`]: every event kept as a
+/// `CpuEvent` in one `Vec`, every query a scan (or, for `event_at`, a
+/// binary search) over it.
+struct EagerTimeline {
+    events: Vec<CpuEvent>,
+}
+
+impl EagerTimeline {
+    fn sum_where(&self, pred: impl Fn(&CpuEvent) -> bool) -> Ns {
+        self.events.iter().filter(|e| pred(e)).map(|e| e.span.duration()).sum()
+    }
+
+    fn event_at(&self, t: Ns) -> Option<CpuEvent> {
+        let idx = self.events.partition_point(|e| e.span.start <= t);
+        idx.checked_sub(1).map(|i| self.events[i]).filter(|e| e.span.contains(t))
+    }
+
+    fn waits(&self) -> Vec<(&'static str, WaitReason, Span)> {
+        self.events
+            .iter()
+            .filter_map(|e| match e.kind {
+                CpuEventKind::Wait { api, reason, .. } => Some((api, reason, e.span)),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+const EVENT_NAMES: [&str; 5] = ["cuMemcpy", "cuMemFree", "probe", "stackwalk", "solve"];
+
+/// An arbitrary event request: (kind, name, gap before it, duration,
+/// reason/op selector).
+fn event_strategy() -> impl Strategy<Value = (u8, u8, u64, u64, u64)> {
+    (0u8..5, 0u8..5, 0u64..4, 0u64..40, any::<u64>())
+}
+
+/// An arbitrary shadow-stack op: (push/pop/capture, frame selector).
+fn stack_op_strategy() -> impl Strategy<Value = (u8, u8)> {
+    (0u8..3, 0u8..4)
 }
 
 /// An arbitrary op request: (delay before enqueue, stream, is_copy, duration).
@@ -244,6 +290,109 @@ proptest! {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         for dir in [Direction::HtoD, Direction::DtoH, Direction::DtoD] {
             prop_assert!(c.transfer_ns(lo, dir, pinned) <= c.transfer_ns(hi, dir, pinned));
+        }
+    }
+
+    /// The chunked, compact event log answers every query exactly like an
+    /// eager `Vec<CpuEvent>`, across chunk boundaries; in particular the
+    /// running overhead total always equals the full re-sum, which is what
+    /// overhead compensation relies on.
+    #[test]
+    fn timeline_matches_eager_event_log(
+        reqs in proptest::collection::vec(event_strategy(), 0..2_600),
+    ) {
+        const REASONS: [WaitReason; 4] = [
+            WaitReason::Explicit,
+            WaitReason::Implicit,
+            WaitReason::Conditional,
+            WaitReason::Private,
+        ];
+        let mut t = Timeline::new();
+        let mut eager = EagerTimeline { events: Vec::new() };
+        let mut now: Ns = 0;
+        for (kind, name, gap, dur, sel) in reqs {
+            let name = EVENT_NAMES[name as usize];
+            let op = (sel % 3 != 0).then_some(OpId(sel >> 2));
+            let kind = match kind {
+                0 => CpuEventKind::Work { label: name },
+                1 => CpuEventKind::DriverCall { api: name },
+                2 => CpuEventKind::Wait { api: name, reason: REASONS[(sel % 4) as usize], op },
+                3 => CpuEventKind::Launch { api: name, op },
+                _ => CpuEventKind::Overhead { what: name },
+            };
+            let span = Span::new(now + gap, now + gap + dur);
+            now = span.end;
+            t.push(kind, span);
+            eager.events.push(CpuEvent { kind, span });
+            prop_assert_eq!(
+                t.total_overhead_ns(),
+                eager.sum_where(|e| e.kind.is_overhead()),
+                "running overhead total after {} events",
+                eager.events.len()
+            );
+        }
+        prop_assert_eq!(t.len(), eager.events.len());
+        prop_assert_eq!(t.is_empty(), eager.events.is_empty());
+        let events = t.events();
+        prop_assert_eq!(events.len(), eager.events.len());
+        prop_assert_eq!(events.collect::<Vec<_>>(), eager.events.clone());
+        prop_assert_eq!(t.waits().collect::<Vec<_>>(), eager.waits());
+        prop_assert_eq!(t.total_wait_ns(), eager.sum_where(|e| e.kind.is_wait()));
+        prop_assert_eq!(t.end_ns(), eager.events.iter().map(|e| e.span.end).max().unwrap_or(0));
+        for api in EVENT_NAMES {
+            prop_assert_eq!(t.api_total_ns(api), eager.sum_where(|e| e.kind.api() == Some(api)));
+        }
+        for e in &eager.events {
+            let mid = e.span.start + e.span.duration() / 2;
+            for at in [e.span.start, mid, e.span.end, e.span.end + 1] {
+                prop_assert_eq!(t.event_at(at), eager.event_at(at), "event_at({})", at);
+            }
+        }
+        prop_assert_eq!(t.event_at(now + 1), None);
+    }
+
+    /// `capture_stack` returns exactly the shadow stack, and every
+    /// capture of an identical stack shares one frame allocation.
+    #[test]
+    fn captured_stacks_are_exact_and_interned(
+        ops in proptest::collection::vec(stack_op_strategy(), 1..200),
+    ) {
+        let frames = [
+            Frame::new("main", SourceLoc::new("app.cpp", 1)),
+            Frame::new("solve<float>", SourceLoc::new("app.cpp", 20)),
+            Frame::new("solve<double>", SourceLoc::new("app.cpp", 20)),
+            Frame::new("cudaFree", SourceLoc::new("solver.cu", 7)),
+        ];
+        let mut m = Machine::new(CostModel::unit());
+        let mut shadow: Vec<Frame> = Vec::new();
+        let mut seen: Vec<StackTrace> = Vec::new();
+        for (op, pick) in ops {
+            match op {
+                0 => {
+                    m.push_frame(frames[pick as usize].clone());
+                    shadow.push(frames[pick as usize].clone());
+                }
+                1 => {
+                    m.pop_frame();
+                    shadow.pop();
+                }
+                _ => {
+                    let st = m.capture_stack();
+                    prop_assert_eq!(&st.frames[..], &shadow[..]);
+                    prop_assert_eq!(st.depth(), m.stack_depth());
+                    for prior in &seen {
+                        prop_assert_eq!(
+                            Arc::ptr_eq(&prior.frames, &st.frames),
+                            prior.frames[..] == st.frames[..],
+                            "identical stacks must share frames, distinct ones must not"
+                        );
+                    }
+                    if !seen.iter().any(|p| p.frames[..] == st.frames[..]) {
+                        seen.push(st);
+                    }
+                    prop_assert_eq!(m.stacks_interned(), seen.len());
+                }
+            }
         }
     }
 }

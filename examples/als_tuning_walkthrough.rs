@@ -25,7 +25,7 @@ fn main() {
     println!("\n== step 3: refine to the easily-fixable subsequence (Fig. 8) ==");
     println!("   (no additional data collection required)\n");
     let n = result.families[0].entries.len();
-    print!("{}", render_subsequence(&result, 0, 10, n));
+    print!("{}", render_subsequence(&result, &result.graph(), 0, 10, n));
 
     println!("\n== step 4: apply the paper's fixes and re-measure ==\n");
     let cost = CostModel::pascal_like();

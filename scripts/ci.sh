@@ -60,7 +60,8 @@ phs = {e['ph'] for e in d['traceEvents']}
 assert {'M', 'X'} <= phs, f'trace needs metadata + duration events, got {phs}'
 assert any(w['thread'].startswith('ffm-pool-') for w in d['workers']), \
     f"no pool-worker track: {[w['thread'] for w in d['workers']]}"
-for counter in ('sim.timeline_events', 'sim.dev_materialized_bytes'):
+for counter in ('sim.timeline_events', 'sim.dev_materialized_bytes',
+                'sim.stacks_interned'):
     assert d['counters'].get(counter, 0) > 0, \
         f'simulator cost counter {counter} missing or zero: {d["counters"]}'
 print(f"telemetry smoke ok: {len(d['traceEvents'])} trace events, "
@@ -231,6 +232,10 @@ rm -rf "$SERVE"
 echo "== codec smoke (FFB decode beats JSON on every kind; sweep merge path is zero-alloc) =="
 cargo build --release -p diogenes-bench --bin bench_codec
 ./target/release/bench_codec --smoke
+
+echo "== stage scaling smoke (stage 2/4 cost per traced call flat from test to paper scale) =="
+cargo build --release -p diogenes-bench --bin bench_pipeline
+./target/release/bench_pipeline --smoke
 
 echo "== columnar identity (reports/sweeps byte-identical to pinned artifacts) =="
 cargo test -q -p diogenes --test columnar_identity
