@@ -493,9 +493,9 @@ fn main() {
             );
         }
     }
-    // The owned decodes allocate at most once per record (one stack
-    // `Vec` per traced call; none per gap); the sweep reader allocates
-    // nothing once its scratch is warm.
+    // The owned decodes allocate at most once per record (one frame
+    // list per distinct stack, none per gap); the sweep reader
+    // allocates nothing once its scratch is warm.
     for row in &rows[..2] {
         assert!(
             row.decode_allocs.0 <= row.records as u64 + OWNED_DECODE_SLACK,
