@@ -10,6 +10,17 @@
 //! `?epoch=` snapshots needs. It keeps every byte on the wire
 //! auditable.
 //!
+//! The parser ([`read_request_buffered`]) reads from any [`Read`], so
+//! its limits and fail-closed behaviour are tested on in-memory byte
+//! streams at every chunking. Socket options are the caller's: the
+//! daemon sets the [`READ_TIMEOUT`] and `TCP_NODELAY` once per accepted
+//! connection. Nagle's algorithm stays off because
+//! [`write_response_conn`] writes the head and the body separately;
+//! with Nagle on, the body waits for the client's delayed ACK of the
+//! head. On Linux loopback that cost about 44 ms per exchange, so a
+//! submit-and-fetch job took ~88 ms where its work takes well under a
+//! millisecond.
+//!
 //! Limits guard the daemon against malformed or hostile peers: the head
 //! (request line + headers) is capped at [`MAX_HEAD_BYTES`] and bodies
 //! at [`MAX_BODY_BYTES`]; anything larger is an error the caller maps to
@@ -37,7 +48,7 @@ pub const READ_TIMEOUT: Duration = Duration::from_secs(30);
 pub const MAX_KEEPALIVE_EXCHANGES: usize = 32;
 
 /// One parsed request.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Request {
     /// Upper-cased method (`GET`, `POST`, ...).
     pub method: String,
@@ -103,24 +114,20 @@ fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Read and parse one request. `Ok(None)` means the peer closed the
-/// connection before sending anything (e.g. a port probe, or the
-/// daemon's own shutdown self-connect) — not an error worth logging.
-pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, String> {
-    let mut carry = Vec::new();
-    read_request_buffered(stream, &mut carry)
-}
-
-/// [`read_request`] for keep-alive connections: `carry` holds bytes
-/// received past the previous request's body (a pipelined client may
-/// send its next request in the same segment). On return, `carry` holds
-/// whatever arrived past *this* request's body, so sequential calls
-/// with the same buffer never drop pipelined bytes.
-pub fn read_request_buffered(
-    stream: &mut TcpStream,
+/// Read and parse one request from `stream`. `Ok(None)` means the peer
+/// closed the connection before sending anything (e.g. a port probe,
+/// the daemon's own shutdown self-connect, or a drained keep-alive) —
+/// not an error worth logging.
+///
+/// `carry` holds bytes received past the previous request's body (a
+/// pipelined client may send its next request in the same segment). On
+/// return, `carry` holds whatever arrived past *this* request's body, so
+/// sequential calls with the same buffer never drop pipelined bytes.
+/// Start a connection with an empty `carry`.
+pub fn read_request_buffered<R: Read>(
+    stream: &mut R,
     carry: &mut Vec<u8>,
 ) -> Result<Option<Request>, String> {
-    stream.set_read_timeout(Some(READ_TIMEOUT)).map_err(|e| format!("set timeout: {e}"))?;
     let mut buf: Vec<u8> = std::mem::take(carry);
     if buf.capacity() == 0 {
         // Fresh connection: start from the ingest pool so keep-alive
@@ -268,25 +275,9 @@ mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
 
-    /// Round-trip a raw request through a real socket pair.
+    /// Parse one request from a byte stream that ends after `raw`.
     fn parse_raw(raw: &[u8]) -> Result<Option<Request>, String> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let client = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&raw).unwrap();
-            // Close the write half by dropping the stream after a beat so
-            // the server sees EOF if it reads past the request.
-            s.shutdown(std::net::Shutdown::Write).unwrap();
-            let mut sink = Vec::new();
-            let _ = s.read_to_end(&mut sink);
-        });
-        let (mut server, _) = listener.accept().unwrap();
-        let out = read_request(&mut server);
-        drop(server);
-        client.join().unwrap();
-        out
+        read_request_buffered(&mut &raw[..], &mut Vec::new())
     }
 
     #[test]
@@ -343,41 +334,29 @@ mod tests {
         );
     }
 
-    /// Two requests pipelined into one TCP write must both parse when
-    /// read sequentially through a shared carry buffer — the first
-    /// read's surplus bytes are the second request, not garbage to drop.
+    /// Two requests pipelined into one write must both parse when read
+    /// sequentially through a shared carry buffer — the first read's
+    /// surplus bytes are the second request, not garbage to drop.
     #[test]
     fn pipelined_sequential_requests_parse_through_the_carry_buffer() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            // Both requests (and the second's body) in a single segment.
-            s.write_all(
-                b"POST /run HTTP/1.1\r\nConnection: keep-alive\r\nContent-Length: 7\r\n\r\n\
-                  {\"a\":1}GET /stats?live=1 HTTP/1.1\r\nConnection: keep-alive\r\n\r\n",
-            )
-            .unwrap();
-            s.shutdown(std::net::Shutdown::Write).unwrap();
-            let mut sink = Vec::new();
-            let _ = s.read_to_end(&mut sink);
-        });
-        let (mut server, _) = listener.accept().unwrap();
+        // Both requests (and the second's body) arrive in one segment.
+        let raw: &[u8] =
+            b"POST /run HTTP/1.1\r\nConnection: keep-alive\r\nContent-Length: 7\r\n\r\n\
+              {\"a\":1}GET /stats?live=1 HTTP/1.1\r\nConnection: keep-alive\r\n\r\n";
+        let mut stream = raw;
         let mut carry = Vec::new();
-        let first = read_request_buffered(&mut server, &mut carry).unwrap().unwrap();
+        let first = read_request_buffered(&mut stream, &mut carry).unwrap().unwrap();
         assert_eq!(first.method, "POST");
         assert_eq!(first.body, b"{\"a\":1}");
         assert!(wants_keep_alive(&first));
         assert!(!carry.is_empty(), "second request buffered, not discarded");
-        let second = read_request_buffered(&mut server, &mut carry).unwrap().unwrap();
+        let second = read_request_buffered(&mut stream, &mut carry).unwrap().unwrap();
         assert_eq!(second.method, "GET");
         assert_eq!(second.path, "/stats");
         assert_eq!(second.query_param("live"), Some("1"));
         assert!(wants_keep_alive(&second));
-        // Third read: connection is drained and closed.
-        assert!(read_request_buffered(&mut server, &mut carry).unwrap().is_none());
-        drop(server);
-        client.join().unwrap();
+        // Third read: the stream is drained and closed.
+        assert!(read_request_buffered(&mut stream, &mut carry).unwrap().is_none());
     }
 
     #[test]

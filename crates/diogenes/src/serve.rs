@@ -75,7 +75,7 @@ use ffm_core::{
 
 use crate::http::{
     read_request_buffered, wants_keep_alive, write_response, write_response_conn, Request,
-    MAX_KEEPALIVE_EXCHANGES,
+    MAX_KEEPALIVE_EXCHANGES, READ_TIMEOUT,
 };
 
 /// Construct one of the five simulated applications by CLI name.
@@ -288,6 +288,10 @@ struct Shared {
     /// Per-epoch snapshots published by streaming jobs over the
     /// daemon's life.
     stream_epochs: AtomicU64,
+    /// Post-job heap trims ([`release_free_heap`]) and their summed wall
+    /// time.
+    heap_trims: AtomicU64,
+    heap_trim_ns: AtomicU64,
     /// Source of request-correlation ids for HTTP connections (job
     /// executions use [`job_trace`] instead).
     next_trace: AtomicU64,
@@ -347,6 +351,8 @@ impl Server {
                 in_flight: AtomicU64::new(0),
                 bytes_served: AtomicU64::new(0),
                 stream_epochs: AtomicU64::new(0),
+                heap_trims: AtomicU64::new(0),
+                heap_trim_ns: AtomicU64::new(0),
                 next_trace: AtomicU64::new(1),
                 access_tick: AtomicU64::new(1),
                 routes: Default::default(),
@@ -459,23 +465,57 @@ fn executor_loop(shared: &Shared) {
             outcome
         };
         shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-        let mut st = shared.state.lock().unwrap();
-        if let Some(job) = st.jobs.get_mut(&id) {
-            match outcome {
-                Ok(bytes) => {
-                    job.status = JobStatus::Done;
-                    job.result = Some(Arc::new(bytes));
-                    shared.computed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    job.status = JobStatus::Failed;
-                    job.error = Some(e);
-                    shared.failed.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut st = shared.state.lock().unwrap();
+            if let Some(job) = st.jobs.get_mut(&id) {
+                match outcome {
+                    Ok(bytes) => {
+                        job.status = JobStatus::Done;
+                        job.result = Some(Arc::new(bytes));
+                        shared.computed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(e) => {
+                        job.status = JobStatus::Failed;
+                        job.error = Some(e);
+                        shared.failed.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
+            evict_done(&mut st, shared);
         }
-        evict_done(&mut st, shared);
+        // The job's transients are freed; hand them back to the OS so
+        // the daemon's RSS tracks its live heap (DESIGN.md §12).
+        let t0 = Instant::now();
+        if release_free_heap() {
+            let ns = t0.elapsed().as_nanos() as u64;
+            shared.heap_trims.fetch_add(1, Ordering::Relaxed);
+            shared.heap_trim_ns.fetch_add(ns, Ordering::Relaxed);
+            telemetry::counter_add("serve.heap_trims", 1);
+            telemetry::counter_add("serve.heap_trim_ns", ns);
+        }
     }
+}
+
+/// Return the free memory glibc's allocator holds to the OS, across all
+/// of its arenas. Without it, each executor's arena keeps its largest
+/// past job peak resident, so a long-lived daemon's RSS creeps up while
+/// its live heap stays flat. Returns whether a trim ran: other
+/// platforms' allocators have no such call, and there it is a no-op.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_free_heap() -> bool {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+    }
+    // SAFETY: the declaration matches glibc's `int malloc_trim(size_t)`,
+    // which takes no pointers, is thread-safe, and only releases memory
+    // the allocator itself holds as free.
+    unsafe { malloc_trim(0) };
+    true
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_heap() -> bool {
+    false
 }
 
 /// LRU eviction of completed jobs: whenever the table holds more than
@@ -601,6 +641,15 @@ const CT_FFB: &str = "application/x-diogenes-ffb";
 const CT_PROM: &str = "text/plain; version=0.0.4";
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared, self_addr: std::net::SocketAddr) {
+    // Once per connection: a read timeout, so an idle peer cannot pin
+    // this thread, and no Nagle, so a response's body does not wait for
+    // the client's delayed ACK of its head (see `crate::http`).
+    if let Err(e) =
+        stream.set_read_timeout(Some(READ_TIMEOUT)).and_then(|()| stream.set_nodelay(true))
+    {
+        log_warn!("dropping connection: cannot set socket options: {e}");
+        return;
+    }
     // Keep-alive loop: a client that opts in (`Connection: keep-alive`)
     // gets up to MAX_KEEPALIVE_EXCHANGES requests on one socket — the
     // access pattern of a live epoch poller. The carry buffer threads
@@ -654,9 +703,12 @@ fn error_body(msg: &str) -> Vec<u8> {
     Json::obj([("error", Json::Str(msg.to_string()))]).to_string_pretty().into_bytes()
 }
 
-fn respond(req: &Request, shared: &Shared) -> (u16, Vec<u8>, &'static str) {
+/// Route one request to `(status, body, content type)`. Stored results
+/// and epoch snapshots come back as the job's own `Arc`, so a fetch
+/// writes them without copying.
+fn respond(req: &Request, shared: &Shared) -> (u16, Arc<Vec<u8>>, &'static str) {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/metrics") => (200, render_metrics(shared).into_bytes(), CT_PROM),
+        ("GET", "/metrics") => (200, Arc::new(render_metrics(shared).into_bytes()), CT_PROM),
         ("GET", path) if path.starts_with("/report/") => {
             fetch(req, shared, &path["/report/".len()..], "run")
         }
@@ -676,7 +728,7 @@ fn respond(req: &Request, shared: &Shared) -> (u16, Vec<u8>, &'static str) {
                 ("GET", _) => (404, error_body(&format!("no such resource {:?}", req.path))),
                 (m, _) => (405, error_body(&format!("method {m} not supported here"))),
             };
-            (status, body, CT_JSON)
+            (status, Arc::new(body), CT_JSON)
         }
     }
 }
@@ -854,15 +906,16 @@ fn wants_ffb(req: &Request) -> bool {
 }
 
 /// Serve stored result bytes, honoring FFB content negotiation: the
-/// stored document is JSON; an FFB `Accept` re-encodes it through the
-/// columnar codec (the same bytes `diogenes --format ffb` writes).
-fn negotiate(req: &Request, bytes: Vec<u8>) -> (u16, Vec<u8>, &'static str) {
+/// stored document is JSON and goes out as is; an FFB `Accept`
+/// re-encodes it through the columnar codec (the same bytes
+/// `diogenes --format ffb` writes).
+fn negotiate(req: &Request, bytes: Arc<Vec<u8>>) -> (u16, Arc<Vec<u8>>, &'static str) {
     if !wants_ffb(req) {
         return (200, bytes, CT_JSON);
     }
     match std::str::from_utf8(&bytes).ok().and_then(|text| Json::parse(text).ok()) {
-        Some(doc) => (200, encode_doc(&doc), CT_FFB),
-        None => (500, error_body("stored result is not re-encodable as FFB"), CT_JSON),
+        Some(doc) => (200, Arc::new(encode_doc(&doc)), CT_FFB),
+        None => json_error(500, "stored result is not re-encodable as FFB"),
     }
 }
 
@@ -871,18 +924,18 @@ fn fetch(
     shared: &Shared,
     id: &str,
     want_kind: &str,
-) -> (u16, Vec<u8>, &'static str) {
+) -> (u16, Arc<Vec<u8>>, &'static str) {
     let epoch: Option<usize> = match req.query_param("epoch") {
         None => None,
         Some(raw) => match raw.parse() {
             Ok(k) => Some(k),
-            Err(_) => return (400, error_body(&format!("epoch {raw:?} is not an index")), CT_JSON),
+            Err(_) => return json_error(400, &format!("epoch {raw:?} is not an index")),
         },
     };
     let tick = shared.tick();
     let mut st = shared.state.lock().unwrap();
     let Some(job) = st.jobs.get_mut(id) else {
-        return (404, error_body(&format!("no job {id:?}")), CT_JSON);
+        return json_error(404, &format!("no job {id:?}"));
     };
     job.last_access = tick;
     if job.spec.kind() != want_kind {
@@ -891,43 +944,41 @@ fn fetch(
             job.spec.kind(),
             if job.spec.kind() == "run" { "report" } else { "sweep" }
         );
-        return (404, error_body(&err), CT_JSON);
+        return json_error(404, &err);
     }
     let streaming = matches!(job.spec, JobSpec::Run { stream: true, .. });
     if let Some(k) = epoch {
         // Epoch view: published snapshots are readable the moment the
         // executor folds them, long before the job is done.
         if let Some(bytes) = job.epochs.get(k) {
-            let bytes = bytes.as_ref().clone();
+            let bytes = Arc::clone(bytes);
             drop(st);
             return negotiate(req, bytes);
         }
         let published = job.epochs.len();
         return match job.status {
-            JobStatus::Done | JobStatus::Failed => (
-                404,
-                error_body(&format!("job {id:?} published {published} epochs; no epoch {k}")),
-                CT_JSON,
-            ),
+            JobStatus::Done | JobStatus::Failed => {
+                json_error(404, &format!("job {id:?} published {published} epochs; no epoch {k}"))
+            }
             status => {
                 let body = Json::obj([
                     ("id", Json::Str(id.to_string())),
                     ("status", Json::Static(status.as_str())),
                     ("epochs", Json::Int(published as i128)),
                 ]);
-                (202, body.to_string_pretty().into_bytes(), CT_JSON)
+                (202, Arc::new(body.to_string_pretty().into_bytes()), CT_JSON)
             }
         };
     }
     match job.status {
         JobStatus::Done => {
-            let bytes = job.result.as_ref().expect("done jobs carry bytes").as_ref().clone();
+            let bytes = Arc::clone(job.result.as_ref().expect("done jobs carry bytes"));
             drop(st);
             negotiate(req, bytes)
         }
         JobStatus::Failed => {
             let msg = job.error.clone().unwrap_or_else(|| "job failed".to_string());
-            (500, error_body(&msg), CT_JSON)
+            json_error(500, &msg)
         }
         status => {
             let mut fields =
@@ -935,9 +986,14 @@ fn fetch(
             if streaming {
                 fields.push(("epochs", Json::Int(job.epochs.len() as i128)));
             }
-            (202, Json::obj(fields).to_string_pretty().into_bytes(), CT_JSON)
+            (202, Arc::new(Json::obj(fields).to_string_pretty().into_bytes()), CT_JSON)
         }
     }
+}
+
+/// An error response from [`fetch`] or [`negotiate`].
+fn json_error(status: u16, msg: &str) -> (u16, Arc<Vec<u8>>, &'static str) {
+    (status, Arc::new(error_body(msg)), CT_JSON)
 }
 
 /// Mark the daemon draining; the connection handler wakes the accept
@@ -1101,6 +1157,24 @@ fn render_metrics(shared: &Shared) -> String {
     p.sample("diogenes_stream_epochs_total", &[], shared.stream_epochs.load(Ordering::Relaxed));
     p.family("diogenes_stream_jobs_live", "gauge", "Streaming jobs queued or running.");
     p.sample("diogenes_stream_jobs_live", &[], live_streams);
+
+    // -- Heap --------------------------------------------------------------
+    p.family(
+        "diogenes_heap_trims_total",
+        "counter",
+        "Post-job trims returning the allocator's free memory to the OS.",
+    );
+    p.sample("diogenes_heap_trims_total", &[], shared.heap_trims.load(Ordering::Relaxed));
+    p.family(
+        "diogenes_heap_trim_seconds_total",
+        "counter",
+        "Wall time spent in post-job heap trims.",
+    );
+    p.sample_f64(
+        "diogenes_heap_trim_seconds_total",
+        &[],
+        shared.heap_trim_ns.load(Ordering::Relaxed) as f64 / 1e9,
+    );
 
     // -- Worker pool -------------------------------------------------------
     p.family("diogenes_pool_workers", "gauge", "Workers in the shared compute pool.");
@@ -1498,6 +1572,7 @@ mod tests {
         assert!(samples > 20, "expected a substantive exposition, got {samples} samples");
         assert!(text.contains("diogenes_jobs{state=\"queued\"} 1"), "{text}");
         assert!(text.contains("diogenes_queue_limit 256"), "{text}");
+        assert!(text.contains("diogenes_heap_trims_total 0"), "no job ran: {text}");
         assert!(
             text.contains(
                 "diogenes_http_request_duration_ns{route=\"POST /run\",quantile=\"0.5\"}"
@@ -1534,7 +1609,7 @@ mod tests {
         }
         let (s, body, ct) = fetch(&get("/report/x?epoch=1"), shared, &id, "run");
         assert_eq!((s, ct), (200, CT_JSON));
-        assert_eq!(body, br#"{"epoch": 1}"#);
+        assert_eq!(body.as_slice(), br#"{"epoch": 1}"#);
         // An unpublished epoch on a live job: 202 with the count so the
         // poller knows how far along the stream is.
         let (s, body, _) = fetch(&get("/report/x?epoch=5"), shared, &id, "run");

@@ -3,11 +3,13 @@
 //! CLI export for the same config, concurrent identical submissions must
 //! compute once, and `/stats`, `/telemetry`, and `/shutdown` must behave
 //! as documented — including a `/shutdown` reply that always reaches the
-//! client before the daemon process exits.
+//! client before the daemon process exits, and keep-alive exchanges that
+//! never wait on the client's delayed ACK.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use diogenes::{run_diogenes, DiogenesConfig, ServeConfig, Server};
 use diogenes_apps::{AlsConfig, CumfAls};
@@ -202,4 +204,72 @@ fn shutdown_reply_arrives_before_the_daemon_exits() {
         let exit = child.wait().expect("wait for the daemon");
         assert!(exit.success(), "round {round}: daemon exited with {exit}");
     }
+}
+
+/// Read one `Content-Length`-framed response off a keep-alive
+/// connection; returns (status, body).
+fn read_response(conn: &mut BufReader<TcpStream>) -> (u16, Vec<u8>) {
+    let mut line = String::new();
+    conn.read_line(&mut line).expect("status line");
+    let status: u16 = line
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line {line:?}"));
+    let mut len = 0;
+    loop {
+        line.clear();
+        conn.read_line(&mut line).expect("header line");
+        let header = line.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = header.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                len = value.trim().parse().expect("numeric content-length");
+            }
+        }
+    }
+    let mut body = vec![0; len];
+    conn.read_exact(&mut body).expect("body");
+    (status, body)
+}
+
+/// The daemon writes a response's head and body separately. With Nagle's
+/// algorithm on, the body waited for the client's delayed ACK of the
+/// head, about 40 ms per exchange on Linux loopback, so 20 exchanges
+/// took most of a second; without it they take a few milliseconds.
+#[test]
+fn keep_alive_exchanges_do_not_wait_for_delayed_acks() {
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        executors: 1,
+        cache_dir: None,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || server.run().expect("serve runs"));
+
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let t0 = Instant::now();
+    for i in 0..20 {
+        conn.write_all(b"GET /stats HTTP/1.1\r\nHost: test\r\nConnection: keep-alive\r\n\r\n")
+            .unwrap();
+        let (status, body) = read_response(&mut reader);
+        assert_eq!(status, 200, "exchange {i}: {}", String::from_utf8_lossy(&body));
+        Json::parse(std::str::from_utf8(&body).unwrap()).expect("stats document");
+    }
+    let elapsed = t0.elapsed();
+    drop((conn, reader));
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "20 keep-alive exchanges took {elapsed:?}; responses are stalling on delayed ACKs"
+    );
+
+    let (status, _) = request(addr, "POST", "/shutdown", b"");
+    assert_eq!(status, 200);
+    daemon.join().expect("daemon exits");
 }

@@ -206,6 +206,21 @@ assert sample('diogenes_flight_recorder_bytes') <= sample('diogenes_flight_recor
 # the session) the pool must be seeing reuse.
 assert sample('diogenes_ingest_buffer_reuse_total') >= 1
 assert sample('diogenes_ingest_buffer_allocs_total') >= 1
+# Post-job heap trim: exposed, and counted once the served job is done.
+# The executor trims just after it publishes the result, so the count
+# may trail the fetch by a moment.
+assert sample('diogenes_heap_trim_seconds_total') >= 0
+def heap_trims():
+    status, body = req('GET', '/metrics')
+    assert status == 200, (status, body)
+    hits = [l for l in body.decode().splitlines() if l.startswith('diogenes_heap_trims_total ')]
+    assert hits, 'no diogenes_heap_trims_total sample in exposition'
+    return float(hits[0].rpartition(' ')[2])
+for _ in range(50):
+    if heap_trims() > 0:
+        break
+    time.sleep(0.1)
+assert heap_trims() > 0, 'no heap trim counted after the served job'
 
 # /trace: the flight recorder dumps as a Chrome trace; validated
 # structurally by `diogenes trace-check` after shutdown.
