@@ -52,11 +52,13 @@ fn bench_table2_path(c: &mut Criterion) {
 fn bench_figure6_8_path(c: &mut Criterion) {
     let r = run_diogenes(&tiny_als(), DiogenesConfig::new()).unwrap();
     let graph = r.graph();
+    let prefix = graph.cpu_prefix();
     c.bench_function("figure6_8/sequence_family_merge_and_subsequence", |b| {
         b.iter(|| {
             let fams = diogenes::merge_sequences(&r.report.analysis, &graph);
-            fams.first()
-                .map(|f| diogenes::family_subsequence_benefit(&graph, f, 1, f.entries.len()))
+            fams.first().map(|f| {
+                diogenes::family_subsequence_benefit(&graph, &prefix, f, 1, f.entries.len())
+            })
         })
     });
 }

@@ -17,7 +17,7 @@ use std::rc::Rc;
 use cuda_driver::{ApiFn, Cuda, DriverConfig, GpuApp, HookEvent, InternalFn};
 use diogenes_apps::{AlsConfig, CumfAls};
 use ffm_core::{
-    carry_forward_benefit, expected_benefit, run_ffm, AnalysisConfig, BenefitOptions, FfmConfig,
+    carry_forward, expected_benefit, run_ffm, AnalysisConfig, BenefitOptions, FfmConfig,
 };
 use gpu_sim::CostModel;
 use instrument::{FunctionProbe, ProbeSpec};
@@ -46,8 +46,9 @@ fn main() {
     // ---- 1. carry-forward vs plain Fig. 5 --------------------------------
     println!("== ablation 1: sequence carry-forward ==");
     let plain_total = a.benefit.total_ns;
+    let prefix = graph.cpu_prefix();
     let carry_total: u64 =
-        a.sequences.iter().map(|s| carry_forward_benefit(&graph, s.start, s.end)).sum();
+        a.sequences.iter().map(|s| carry_forward(&graph, &prefix, s.start, s.end, |_| true)).sum();
     println!("  per-node (Fig. 5)  : {:>12} ns", plain_total);
     println!("  carry-forward       : {:>12} ns over {} sequences", carry_total, a.sequences.len());
     println!(

@@ -11,6 +11,8 @@ use std::fmt::Write as _;
 use diogenes::experiments::{significant_rows, Table1Row, Table2};
 use gpu_sim::Ns;
 
+pub mod reference;
+
 /// Seconds with four decimals (virtual ns rendered the way the paper
 /// prints seconds).
 pub fn secs(ns: Ns) -> String {

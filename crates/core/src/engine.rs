@@ -266,13 +266,19 @@ pub fn plan_keys(app: &dyn GpuApp, cfg: &FfmConfig) -> [StageKey; STAGE_COUNT] {
 
 /// Everything the engine produces: one artifact per stage, `Arc`-shared
 /// with the store so a cache hit costs no deep clone.
-pub struct EngineOut {
+pub struct StageOutputs {
     pub discovery: Arc<Discovery>,
     pub stage1: Arc<Stage1Result>,
     pub stage2: Arc<Stage2Result>,
     pub stage3: Arc<Stage3Result>,
     pub stage4: Arc<Stage4Result>,
-    pub analysis: Arc<Analysis>,
+    /// The stage 5 analysis; `None` when the run left it to the
+    /// streaming fold.
+    pub analysis: Option<Arc<Analysis>>,
+    /// Content address of the stage 5 analysis, computed or not: a
+    /// streaming run stores its final analysis here, so a later batch
+    /// run of the same plan is a warm cache hit.
+    pub stage5_key: StageKey,
 }
 
 fn hit_counter(id: StageId) -> &'static str {
@@ -497,30 +503,30 @@ impl SchedState {
     }
 }
 
-/// Execute the DAG and return one artifact slot per stage (`None` for
-/// stages excluded from this run). `jobs <= 1` runs inline on the
-/// caller's thread in classic order; otherwise up to
+/// Execute the DAG and return its artifacts. `jobs <= 1` runs inline on
+/// the caller's thread in classic order; otherwise up to
 /// `min(jobs, MAX_STAGE_WIDTH)` workers drain ready stages from the
 /// shared pool. Error semantics match the classic sequential path: when
 /// several independent stages fail, the error of the earliest stage in
 /// classic order is returned.
 ///
-/// `include_stage5` is the streaming split: the collection-only run
-/// ([`run_collection`]) pre-skips the analysis stage, and the streaming
-/// driver folds the trace incrementally instead.
-fn run_dag(
+/// `with_analysis` false is the streaming split: the run pre-skips the
+/// stage 5 analysis, which the streaming driver then computes by folding
+/// the trace window by window (the same [`crate::IncrementalAnalysis`]
+/// fold stage 5 runs over the whole graph).
+pub fn run_stages(
     app: &dyn GpuApp,
     cfg: &FfmConfig,
     jobs: usize,
     store: Option<&ArtifactStore>,
-    include_stage5: bool,
-) -> CudaResult<Vec<Option<Artifact>>> {
+    with_analysis: bool,
+) -> CudaResult<StageOutputs> {
     let keys = plan_keys(app, cfg);
     let width = jobs.clamp(1, MAX_STAGE_WIDTH);
 
     let mut skipped = [false; STAGE_COUNT];
     let mut remaining = STAGE_COUNT;
-    if !include_stage5 {
+    if !with_analysis {
         skipped[StageId::Stage5.index()] = true;
         remaining -= 1;
     }
@@ -577,110 +583,42 @@ fn run_dag(
         par_map((0..width).collect(), width, worker);
     }
 
-    let mut st = state.into_inner().unwrap();
-    // Report the earliest failure in classic order, like the old
-    // sequential path did.
-    for id in StageId::ALL {
-        if let Some(Err(_)) = &st.results[id.index()] {
-            match st.results[id.index()].take() {
-                Some(Err(e)) => return Err(e),
-                _ => unreachable!(),
-            }
-        }
+    // Slots are in classic order, so the first error is the earliest
+    // failure in classic order, like the old sequential path reported.
+    let mut results = Vec::with_capacity(STAGE_COUNT);
+    for slot in state.into_inner().unwrap().results {
+        results.push(slot.transpose()?);
     }
-    Ok(st
-        .results
-        .into_iter()
-        .map(|slot| slot.map(|r| r.expect("failures returned above")))
-        .collect())
-}
-
-/// Run the whole DAG, analysis included.
-pub fn run_stages(
-    app: &dyn GpuApp,
-    cfg: &FfmConfig,
-    jobs: usize,
-    store: Option<&ArtifactStore>,
-) -> CudaResult<EngineOut> {
-    let mut results = run_dag(app, cfg, jobs, store, true)?;
-    let mut take =
-        |id: StageId| -> Artifact { results[id.index()].take().expect("included stages all ran") };
-    let discovery = match take(StageId::Discovery) {
-        Artifact::Discovery(d) => d,
-        _ => unreachable!(),
-    };
-    let stage1 = match take(StageId::Stage1) {
-        Artifact::Stage1(s) => s,
-        _ => unreachable!(),
-    };
-    let stage2 = match take(StageId::Stage2) {
-        Artifact::Stage2(s) => s,
-        _ => unreachable!(),
-    };
-    let stage3 = match take(StageId::Merge3) {
-        Artifact::Stage3(s) => s,
-        _ => unreachable!(),
-    };
-    let stage4 = match take(StageId::Stage4) {
-        Artifact::Stage4(s) => s,
-        _ => unreachable!(),
+    let mut take = |id: StageId| results[id.index()].take();
+    let (
+        Some(Artifact::Discovery(discovery)),
+        Some(Artifact::Stage1(stage1)),
+        Some(Artifact::Stage2(stage2)),
+        Some(Artifact::Stage3(stage3)),
+        Some(Artifact::Stage4(stage4)),
+    ) = (
+        take(StageId::Discovery),
+        take(StageId::Stage1),
+        take(StageId::Stage2),
+        take(StageId::Merge3),
+        take(StageId::Stage4),
+    )
+    else {
+        unreachable!("collection stages all ran")
     };
     let analysis = match take(StageId::Stage5) {
-        Artifact::Analysis(a) => a,
-        _ => unreachable!(),
+        Some(Artifact::Analysis(analysis)) => Some(analysis),
+        _ => None,
     };
-    Ok(EngineOut { discovery, stage1, stage2, stage3, stage4, analysis })
-}
-
-/// Everything the collection stages produce — the DAG minus stage 5.
-/// `stage5_key` is the content address the batch analysis would be (and
-/// the final streaming analysis is) stored under, so a streaming run
-/// seeds the cache for later batch runs of the same plan.
-pub struct CollectOut {
-    pub discovery: Arc<Discovery>,
-    pub stage1: Arc<Stage1Result>,
-    pub stage2: Arc<Stage2Result>,
-    pub stage3: Arc<Stage3Result>,
-    pub stage4: Arc<Stage4Result>,
-    pub stage5_key: StageKey,
-}
-
-/// Run the collection stages only (discovery, 1–4 with the stage 3
-/// merge), leaving the analysis to the caller — the entry point for the
-/// streaming pipeline, which folds the trace window by window instead of
-/// analyzing it in one shot.
-pub fn run_collection(
-    app: &dyn GpuApp,
-    cfg: &FfmConfig,
-    jobs: usize,
-    store: Option<&ArtifactStore>,
-) -> CudaResult<CollectOut> {
-    let stage5_key = plan_keys(app, cfg)[StageId::Stage5.index()];
-    let mut results = run_dag(app, cfg, jobs, store, false)?;
-    let mut take = |id: StageId| -> Artifact {
-        results[id.index()].take().expect("collection stages all ran")
-    };
-    let discovery = match take(StageId::Discovery) {
-        Artifact::Discovery(d) => d,
-        _ => unreachable!(),
-    };
-    let stage1 = match take(StageId::Stage1) {
-        Artifact::Stage1(s) => s,
-        _ => unreachable!(),
-    };
-    let stage2 = match take(StageId::Stage2) {
-        Artifact::Stage2(s) => s,
-        _ => unreachable!(),
-    };
-    let stage3 = match take(StageId::Merge3) {
-        Artifact::Stage3(s) => s,
-        _ => unreachable!(),
-    };
-    let stage4 = match take(StageId::Stage4) {
-        Artifact::Stage4(s) => s,
-        _ => unreachable!(),
-    };
-    Ok(CollectOut { discovery, stage1, stage2, stage3, stage4, stage5_key })
+    Ok(StageOutputs {
+        discovery,
+        stage1,
+        stage2,
+        stage3,
+        stage4,
+        analysis,
+        stage5_key: keys[StageId::Stage5.index()],
+    })
 }
 
 /// Content address of one per-window analysis epoch: the stage 5 key
@@ -840,11 +778,11 @@ mod tests {
     fn second_run_with_a_store_hits_every_stage() {
         let store = ArtifactStore::in_memory();
         let cfg = FfmConfig { jobs: 1, ..FfmConfig::default() };
-        run_stages(&Tiny, &cfg, 1, Some(&store)).expect("cold run");
+        run_stages(&Tiny, &cfg, 1, Some(&store), true).expect("cold run");
         let cold = store.stats();
         assert_eq!(cold.misses, STAGE_COUNT as u64);
         assert_eq!(cold.puts, STAGE_COUNT as u64);
-        run_stages(&Tiny, &cfg, 1, Some(&store)).expect("warm run");
+        run_stages(&Tiny, &cfg, 1, Some(&store), true).expect("warm run");
         let warm = store.stats();
         assert_eq!(warm.mem_hits, STAGE_COUNT as u64, "warm run hits every stage");
         assert_eq!(warm.misses, cold.misses, "warm run misses nothing");
@@ -854,13 +792,14 @@ mod tests {
     fn engine_matches_storeless_run() {
         let cfg = FfmConfig { jobs: 1, ..FfmConfig::default() };
         let store = ArtifactStore::in_memory();
-        let plain = run_stages(&Tiny, &cfg, 1, None).expect("plain");
-        let cached = run_stages(&Tiny, &cfg, 1, Some(&store)).expect("cold");
-        let warm = run_stages(&Tiny, &cfg, 1, Some(&store)).expect("warm");
+        let plain = run_stages(&Tiny, &cfg, 1, None, true).expect("plain");
+        let cached = run_stages(&Tiny, &cfg, 1, Some(&store), true).expect("cold");
+        let warm = run_stages(&Tiny, &cfg, 1, Some(&store), true).expect("warm");
         for out in [&cached, &warm] {
             assert_eq!(out.stage1.exec_time_ns, plain.stage1.exec_time_ns);
             assert_eq!(out.stage2.calls.len(), plain.stage2.calls.len());
-            assert_eq!(out.analysis.problems.len(), plain.analysis.problems.len());
+            let problems = |o: &StageOutputs| o.analysis.as_ref().unwrap().problems.len();
+            assert_eq!(problems(out), problems(&plain));
         }
     }
 
@@ -868,14 +807,15 @@ mod tests {
     fn collection_runs_everything_but_stage5() {
         let store = ArtifactStore::in_memory();
         let cfg = FfmConfig { jobs: 1, ..FfmConfig::default() };
-        let col = run_collection(&Tiny, &cfg, 1, Some(&store)).expect("collection");
+        let col = run_stages(&Tiny, &cfg, 1, Some(&store), false).expect("collection");
         let cold = store.stats();
         assert_eq!(cold.misses, (STAGE_COUNT - 1) as u64, "stage5 never consulted");
         assert_eq!(cold.puts, (STAGE_COUNT - 1) as u64);
+        assert!(col.analysis.is_none());
         assert_eq!(col.stage5_key, plan_keys(&Tiny, &cfg)[StageId::Stage5.index()]);
         // A full run over the same store reuses every collection stage
         // and computes only the analysis.
-        let full = run_stages(&Tiny, &cfg, 1, Some(&store)).expect("full");
+        let full = run_stages(&Tiny, &cfg, 1, Some(&store), true).expect("full");
         let warm = store.stats();
         assert_eq!(warm.mem_hits, (STAGE_COUNT - 1) as u64);
         assert_eq!(warm.misses, cold.misses + 1, "only stage5 missed");
@@ -916,10 +856,13 @@ mod tests {
             }
         }
         let store = ArtifactStore::with_disk(&dir).with_claim_ttl(std::time::Duration::ZERO);
-        let plain = run_stages(&Tiny, &cfg, 1, None).expect("plain");
-        let out = run_stages(&Tiny, &cfg, 1, Some(&store)).expect("claimed run");
+        let plain = run_stages(&Tiny, &cfg, 1, None, true).expect("plain");
+        let out = run_stages(&Tiny, &cfg, 1, Some(&store), true).expect("claimed run");
         assert_eq!(out.stage1.exec_time_ns, plain.stage1.exec_time_ns);
-        assert_eq!(out.analysis.problems.len(), plain.analysis.problems.len());
+        assert_eq!(
+            out.analysis.as_ref().unwrap().problems.len(),
+            plain.analysis.as_ref().unwrap().problems.len()
+        );
         assert_eq!(store.stats().puts, STAGE_COUNT as u64, "every stage computed locally");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -33,6 +33,13 @@
 //! order; either way the report is bit-identical, because every run is a
 //! complete isolated execution whose virtual clock starts at zero, and
 //! cached artifacts are bit-identical to freshly computed ones.
+//!
+//! Stage 5 has one implementation, the [`IncrementalAnalysis`] fold. A
+//! batch run gets it from the DAG's stage 5 node, which folds the whole
+//! graph at once; a streaming run ([`run_ffm_streaming`]) leaves that
+//! node out and folds the trace one window per epoch, publishing a
+//! snapshot after each. All four `run_ffm*` entry points go through one
+//! private driver and one report assembly.
 
 use std::sync::Arc;
 
@@ -41,7 +48,7 @@ use gpu_sim::{CostModel, Ns};
 use instrument::Discovery;
 
 use crate::analysis::{build_graph, Analysis, AnalysisConfig};
-use crate::engine::{epoch_key, run_collection, run_stages, CollectOut};
+use crate::engine::{epoch_key, run_stages, StageOutputs};
 use crate::graph::{ExecGraph, GraphBuilder};
 use crate::grouping::IncrementalAnalysis;
 use crate::par::effective_jobs;
@@ -146,7 +153,7 @@ pub fn overhead_factor(exec_ns: Ns, base_ns: Ns) -> f64 {
 /// Run the full feed-forward pipeline against an application, with no
 /// artifact reuse (every stage executes).
 pub fn run_ffm(app: &dyn GpuApp, cfg: &FfmConfig) -> CudaResult<FfmReport> {
-    run_ffm_with_store(app, cfg, None)
+    drive(app, cfg, None, None)
 }
 
 /// Run the pipeline, consulting `store` before executing each stage and
@@ -159,53 +166,42 @@ pub fn run_ffm_with_store(
     cfg: &FfmConfig,
     store: Option<&ArtifactStore>,
 ) -> CudaResult<FfmReport> {
-    let _run_span = telemetry::span_detail("run_ffm", || app.name().to_string());
-    let jobs = effective_jobs(cfg.jobs);
-    let out = run_stages(app, cfg, jobs, store)?;
-    let col = CollectOut {
-        discovery: out.discovery,
-        stage1: out.stage1,
-        stage2: out.stage2,
-        stage3: out.stage3,
-        stage4: out.stage4,
-        stage5_key: StageKey(0), // unused by assembly
-    };
-    Ok(assemble_report(app, col, out.analysis))
+    drive(app, cfg, store, None)
 }
 
-/// Build the final report from collection results and the analysis —
-/// the single assembly both the batch and the streaming drivers go
-/// through, so their reports can only ever differ in the analysis
-/// itself (and the identity suite pins that they don't).
-fn assemble_report(app: &dyn GpuApp, col: CollectOut, analysis: Arc<Analysis>) -> FfmReport {
-    record_collection_metrics(&col.stage2, &col.stage3, &col.stage4, &analysis);
+/// Build the final report from the stage outputs and the analysis — the
+/// single assembly both batch and streaming runs go through, so their
+/// reports can only ever differ in the analysis itself (and the identity
+/// suite pins that they don't).
+fn assemble_report(app: &dyn GpuApp, out: StageOutputs, analysis: Arc<Analysis>) -> FfmReport {
+    record_collection_metrics(&out.stage2, &out.stage3, &out.stage4, &analysis);
 
-    let base = col.stage1.exec_time_ns;
+    let base = out.stage1.exec_time_ns;
     let stages = vec![
         StageStats {
             name: "stage1-baseline",
-            exec_ns: col.stage1.exec_time_ns,
-            overhead_factor: overhead_factor(col.stage1.exec_time_ns, base),
+            exec_ns: out.stage1.exec_time_ns,
+            overhead_factor: overhead_factor(out.stage1.exec_time_ns, base),
         },
         StageStats {
             name: "stage2-detailed-tracing",
-            exec_ns: col.stage2.exec_time_ns,
-            overhead_factor: overhead_factor(col.stage2.exec_time_ns, base),
+            exec_ns: out.stage2.exec_time_ns,
+            overhead_factor: overhead_factor(out.stage2.exec_time_ns, base),
         },
         StageStats {
             name: "stage3a-memory-tracing",
-            exec_ns: col.stage3.exec_time_sync_ns,
-            overhead_factor: overhead_factor(col.stage3.exec_time_sync_ns, base),
+            exec_ns: out.stage3.exec_time_sync_ns,
+            overhead_factor: overhead_factor(out.stage3.exec_time_sync_ns, base),
         },
         StageStats {
             name: "stage3b-data-hashing",
-            exec_ns: col.stage3.exec_time_hash_ns,
-            overhead_factor: overhead_factor(col.stage3.exec_time_hash_ns, base),
+            exec_ns: out.stage3.exec_time_hash_ns,
+            overhead_factor: overhead_factor(out.stage3.exec_time_hash_ns, base),
         },
         StageStats {
             name: "stage4-sync-use",
-            exec_ns: col.stage4.exec_time_ns,
-            overhead_factor: overhead_factor(col.stage4.exec_time_ns, base),
+            exec_ns: out.stage4.exec_time_ns,
+            overhead_factor: overhead_factor(out.stage4.exec_time_ns, base),
         },
     ];
     let collection_total_ns = stages.iter().map(|s| s.exec_ns).sum();
@@ -213,11 +209,11 @@ fn assemble_report(app: &dyn GpuApp, col: CollectOut, analysis: Arc<Analysis>) -
     FfmReport {
         app_name: app.name(),
         workload: app.workload(),
-        discovery: col.discovery,
-        stage1: col.stage1,
-        stage2: col.stage2,
-        stage3: col.stage3,
-        stage4: col.stage4,
+        discovery: out.discovery,
+        stage1: out.stage1,
+        stage2: out.stage2,
+        stage3: out.stage3,
+        stage4: out.stage4,
         analysis,
         stages,
         collection_total_ns,
@@ -253,10 +249,10 @@ pub fn run_ffm_streaming(
     cfg: &FfmConfig,
     window: usize,
 ) -> CudaResult<FfmReport> {
-    run_ffm_streaming_with_store(app, cfg, window, None, |_| {})
+    drive(app, cfg, None, Some((window, &mut |_| {})))
 }
 
-/// The streaming driver: run the collection stages, then interleave
+/// The streaming pipeline: run the collection stages, then interleave
 /// graph building with windowed incremental analysis, publishing an
 /// [`EpochSnapshot`] (and a content-addressed store entry) after every
 /// `window` consumed stage 2 calls. The final epoch carries the finished
@@ -269,15 +265,49 @@ pub fn run_ffm_streaming_with_store(
     store: Option<&ArtifactStore>,
     mut on_epoch: impl FnMut(&EpochSnapshot<'_>),
 ) -> CudaResult<FfmReport> {
-    let _run_span = telemetry::span_detail("run_ffm_streaming", || app.name().to_string());
-    let jobs = effective_jobs(cfg.jobs);
-    let window = window.max(1);
-    let col = run_collection(app, cfg, jobs, store)?;
+    drive(app, cfg, store, Some((window, &mut on_epoch)))
+}
 
+/// An epoch subscriber of the streaming driver.
+type OnEpoch<'f> = &'f mut dyn FnMut(&EpochSnapshot<'_>);
+
+/// The one driver behind the four `run_ffm*` entry points: run the stage
+/// DAG, then assemble the report. A batch run takes stage 5 from the
+/// DAG; a streaming run (`stream` = window and subscriber) leaves stage
+/// 5 out of the DAG and folds the trace window by window instead.
+fn drive(
+    app: &dyn GpuApp,
+    cfg: &FfmConfig,
+    store: Option<&ArtifactStore>,
+    stream: Option<(usize, OnEpoch<'_>)>,
+) -> CudaResult<FfmReport> {
+    let span = if stream.is_some() { "run_ffm_streaming" } else { "run_ffm" };
+    let _run_span = telemetry::span_detail(span, || app.name().to_string());
+    let jobs = effective_jobs(cfg.jobs);
+    let mut out = run_stages(app, cfg, jobs, store, stream.is_none())?;
+    let analysis = match stream {
+        None => out.analysis.take().expect("stage 5 ran"),
+        Some((window, on_epoch)) => stream_analysis(&out, cfg, window, store, on_epoch),
+    };
+    Ok(assemble_report(app, out, analysis))
+}
+
+/// Stage 5 of a streaming run: build the graph window by window, fold
+/// each window into the one [`IncrementalAnalysis`], and publish a
+/// snapshot per epoch. The finished analysis is identical to the batch
+/// one and is stored under the plain stage 5 key.
+fn stream_analysis(
+    out: &StageOutputs,
+    cfg: &FfmConfig,
+    window: usize,
+    store: Option<&ArtifactStore>,
+    on_epoch: OnEpoch<'_>,
+) -> Arc<Analysis> {
     let _fold_span = telemetry::span("stage5-streaming");
-    let calls = &col.stage2.calls;
-    let dups = col.stage3.duplicate_set();
-    let mut builder = GraphBuilder::with_capacity(col.stage1.exec_time_ns, calls.len());
+    let window = window.max(1);
+    let calls = &out.stage2.calls;
+    let dups = out.stage3.duplicate_set();
+    let mut builder = GraphBuilder::with_capacity(out.stage1.exec_time_ns, calls.len());
     let mut inc = IncrementalAnalysis::new(&cfg.analysis);
     let mut epoch = 0usize;
     let mut publish = |snapshot: &EpochSnapshot<'_>| {
@@ -294,21 +324,21 @@ pub fn run_ffm_streaming_with_store(
         classify_range(
             builder.graph_mut(),
             range,
-            &col.stage3,
+            &out.stage3,
             &dups,
-            &col.stage4,
+            &out.stage4,
             &cfg.analysis.classify,
         );
         inc.fold(builder.graph());
         consumed = hi;
         if consumed < calls.len() {
             // Intermediate epoch: snapshot of the prefix seen so far.
-            let analysis = inc.snapshot(builder.graph(), col.stage1.exec_time_ns);
+            let analysis = inc.snapshot(builder.graph(), out.stage1.exec_time_ns);
             publish(&EpochSnapshot {
                 epoch,
                 calls_consumed: consumed,
                 nodes: analysis.graph_nodes,
-                key: epoch_key(col.stage5_key, window, epoch),
+                key: epoch_key(out.stage5_key, window, epoch),
                 analysis: &analysis,
             });
             epoch += 1;
@@ -316,23 +346,22 @@ pub fn run_ffm_streaming_with_store(
     }
     // Seal the graph (tail work past the last call) and resolve
     // everything still pending under end-of-trace semantics.
-    builder.seal(col.stage2.exec_time_ns);
+    builder.seal(out.stage2.exec_time_ns);
     inc.fold(builder.graph());
-    let analysis = Arc::new(inc.finish(builder.graph(), col.stage1.exec_time_ns));
+    let analysis = Arc::new(inc.finish(builder.graph(), out.stage1.exec_time_ns));
     // The analysis does not keep the graph: free it now.
     drop(builder);
     if let Some(store) = store {
-        store.put(col.stage5_key, Artifact::Analysis(analysis.clone()));
+        store.put(out.stage5_key, Artifact::Analysis(analysis.clone()));
     }
     publish(&EpochSnapshot {
         epoch,
         calls_consumed: calls.len(),
         nodes: analysis.graph_nodes,
-        key: epoch_key(col.stage5_key, window, epoch),
+        key: epoch_key(out.stage5_key, window, epoch),
         analysis: &analysis,
     });
-    drop(_fold_span);
-    Ok(assemble_report(app, col, analysis))
+    analysis
 }
 
 /// Record what collection found into the telemetry metrics registry.

@@ -915,7 +915,14 @@ pub fn get_field(cfg: &FfmConfig, field: &str) -> Result<u64, String> {
 }
 
 /// Apply one `section.field = value` override to a configuration.
+///
+/// A zero bandwidth (the five `cost.*_bw_bytes_per_us` fields) is
+/// rejected: a transfer at zero bytes per µs never ends, and the cost
+/// model would otherwise clamp it to 1 B/µs without a word.
 pub fn set_field(cfg: &mut FfmConfig, field: &str, value: u64) -> Result<(), String> {
+    if value == 0 && field.starts_with("cost.") && field.ends_with("_bw_bytes_per_us") {
+        return Err(format!("field {field:?} is a bandwidth and must be positive; got 0"));
+    }
     match field {
         "cost.driver_call_ns" => cfg.cost.driver_call_ns = value,
         "cost.kernel_launch_ns" => cfg.cost.kernel_launch_ns = value,
@@ -979,10 +986,31 @@ mod tests {
             let mut cfg = FfmConfig::default();
             set_field(&mut cfg, field, 1).unwrap_or_else(|e| panic!("{field}: {e}"));
             assert_eq!(get_field(&cfg, field).unwrap(), 1, "{field} should read back 1");
+            if field.ends_with("_bw_bytes_per_us") {
+                // Zero bandwidth is rejected (see the test below).
+                continue;
+            }
             set_field(&mut cfg, field, 0).unwrap_or_else(|e| panic!("{field}: {e}"));
             assert_eq!(get_field(&cfg, field).unwrap(), 0, "{field} should read back 0");
         }
         assert!(get_field(&FfmConfig::default(), "cost.nope").is_err());
+    }
+
+    #[test]
+    fn zero_bandwidth_is_rejected_naming_the_field() {
+        let bw: Vec<&str> =
+            SWEEPABLE_FIELDS.iter().copied().filter(|f| f.ends_with("_bw_bytes_per_us")).collect();
+        assert_eq!(bw.len(), 5, "{bw:?}");
+        for field in bw {
+            let mut cfg = FfmConfig::default();
+            let before = get_field(&cfg, field).unwrap();
+            let err = set_field(&mut cfg, field, 0).expect_err(field);
+            assert!(err.contains(field), "{err}");
+            assert_eq!(get_field(&cfg, field).unwrap(), before, "{field} left unchanged");
+            // Every grid value is checked, not just the first one.
+            let spec = SweepSpec::new(FfmConfig::default()).axis(field, vec![1_000, 0]);
+            assert!(spec.expand().unwrap_err().contains(field));
+        }
     }
 
     #[test]

@@ -159,7 +159,7 @@ pub fn render_subsequence(
     let Some(f) = r.families.get(family_idx) else {
         return "no such sequence".to_string();
     };
-    let Some(benefit) = family_subsequence_benefit(graph, f, from, to) else {
+    let Some(benefit) = family_subsequence_benefit(graph, &graph.cpu_prefix(), f, from, to) else {
         return "invalid subsequence range".to_string();
     };
     let mut out = String::new();

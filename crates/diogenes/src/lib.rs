@@ -39,8 +39,8 @@ pub use cli::{
     resolve_jobs,
 };
 pub use seqfam::{
-    best_subsequence, family_subsequence_benefit, family_subsequence_benefit_indexed,
-    merge_sequences, FamilyEntry, SequenceFamily, SubsequenceChoice,
+    best_subsequence, family_subsequence_benefit, merge_sequences, FamilyEntry, SequenceFamily,
+    SubsequenceChoice,
 };
 pub use serve::{build_app, serve, ServeConfig, Server};
 pub use sweep::{

@@ -7,7 +7,7 @@
 //! sequences whose (API, call-site) entry pattern is identical.
 
 use cuda_driver::ApiFn;
-use ffm_core::{Analysis, ExecGraph, GraphIndex, Problem, Sequence};
+use ffm_core::{carry_forward, Analysis, ExecGraph, Problem, Sequence};
 use gpu_sim::{fnv1a_64, Ns, SourceLoc};
 
 /// One displayed operation of a family (paper Fig. 6 line). A call whose
@@ -119,23 +119,13 @@ pub fn merge_sequences(analysis: &Analysis, graph: &ExecGraph) -> Vec<SequenceFa
 /// Refined subsequence estimate on a family: evaluate display entries
 /// `[from, to]` (1-based, inclusive) of the representative sequence and
 /// scale by occurrence count (paper Fig. 8 — "does not require additional
-/// data collection").
-pub fn family_subsequence_benefit(
-    graph: &ExecGraph,
-    family: &SequenceFamily,
-    from: usize,
-    to: usize,
-) -> Option<Ns> {
-    family_subsequence_benefit_indexed(graph, &graph.index(), family, from, to)
-}
-
-/// [`family_subsequence_benefit`] against a prebuilt [`GraphIndex`], so
-/// range searches ([`best_subsequence`]) pay the O(n) index build once.
+/// data collection"). `cpu_prefix` is the graph's CPU prefix column
+/// ([`ExecGraph::cpu_prefix`]), built once for any number of queries.
 /// Problems outside the chosen display range are excluded via a node
 /// mask on the carry-forward estimator — no graph clone per query.
-pub fn family_subsequence_benefit_indexed(
+pub fn family_subsequence_benefit(
     graph: &ExecGraph,
-    ix: &GraphIndex,
+    cpu_prefix: &[Ns],
     family: &SequenceFamily,
     from: usize,
     to: usize,
@@ -157,7 +147,7 @@ pub fn family_subsequence_benefit_indexed(
         Ok(_) => n >= lo && n <= hi,
         Err(_) => true,
     };
-    let one = ffm_core::carry_forward_masked(graph, ix, lo, seq.end, keep);
+    let one = carry_forward(graph, cpu_prefix, lo, seq.end, keep);
     Some(one * family.occurrences as Ns)
 }
 
@@ -213,9 +203,9 @@ mod tests {
         let r = als_result();
         let f = &r.families[0];
         let graph = r.graph();
-        let ix = graph.index();
+        let prefix = graph.cpu_prefix();
         for (from, to) in [(1, f.entries.len()), (10, f.entries.len()), (5, 12), (3, 3), (9, 2)] {
-            let got = family_subsequence_benefit(&graph, f, from, to);
+            let got = family_subsequence_benefit(&graph, &prefix, f, from, to);
             let reference = (|| {
                 let first = f.entries.iter().find(|e| e.index == from)?;
                 let last = f.entries.iter().find(|e| e.index == to)?;
@@ -229,10 +219,7 @@ mod tests {
                         keep[e.node] = false;
                     }
                 }
-                let one =
-                    ffm_core::carry_forward_masked(&graph, &ix, lo, f.representative.end, |n| {
-                        keep[n]
-                    });
+                let one = carry_forward(&graph, &prefix, lo, f.representative.end, |n| keep[n]);
                 Some(one * f.occurrences as Ns)
             })();
             assert_eq!(got, reference, "range {from}..{to}");
@@ -244,8 +231,9 @@ mod tests {
         let r = als_result();
         let f = &r.families[0];
         let graph = r.graph();
-        let full = family_subsequence_benefit(&graph, f, 1, f.entries.len()).unwrap();
-        let sub = family_subsequence_benefit(&graph, f, 10, f.entries.len()).unwrap();
+        let prefix = graph.cpu_prefix();
+        let full = family_subsequence_benefit(&graph, &prefix, f, 1, f.entries.len()).unwrap();
+        let sub = family_subsequence_benefit(&graph, &prefix, f, 10, f.entries.len()).unwrap();
         assert!(sub <= full, "sub {sub} vs full {full}");
         assert!(sub > 0);
         // Paper Fig. 8: the 10..23 subsequence retains most of the value.
@@ -291,12 +279,12 @@ pub fn best_subsequence(
     if n == 0 {
         return None;
     }
-    // One index for the whole O(n²) range search.
-    let ix = graph.index();
+    // One prefix column for the whole O(n²) range search.
+    let cpu_prefix = graph.cpu_prefix();
     let mut best: Option<SubsequenceChoice> = None;
     for from in 1..=n {
         for to in from..=n {
-            let Some(benefit_ns) = family_subsequence_benefit_indexed(graph, &ix, family, from, to)
+            let Some(benefit_ns) = family_subsequence_benefit(graph, &cpu_prefix, family, from, to)
             else {
                 continue;
             };
@@ -339,7 +327,8 @@ mod autoseq_tests {
         let graph = r.graph();
         let c = best_subsequence(&graph, f, 0).unwrap();
         assert_eq!((c.from, c.to), (1, f.entries.len()));
-        assert_eq!(Some(c.benefit_ns), family_subsequence_benefit(&graph, f, 1, f.entries.len()));
+        let full = family_subsequence_benefit(&graph, &graph.cpu_prefix(), f, 1, f.entries.len());
+        assert_eq!(Some(c.benefit_ns), full);
     }
 
     #[test]
@@ -359,13 +348,14 @@ mod autoseq_tests {
         let f = &r.families[0];
         let cost = 50_000;
         let graph = r.graph();
+        let prefix = graph.cpu_prefix();
         let best = best_subsequence(&graph, f, cost).unwrap();
         for from in [1usize, 5, 10] {
             for to in [12usize, 18, f.entries.len()] {
                 if to < from {
                     continue;
                 }
-                if let Some(b) = family_subsequence_benefit(&graph, f, from, to) {
+                if let Some(b) = family_subsequence_benefit(&graph, &prefix, f, from, to) {
                     let sites = f
                         .entries
                         .iter()

@@ -13,9 +13,11 @@ pub struct DiogenesConfig {
     /// Maximum rows in the overview display.
     pub overview_rows: usize,
     /// Stage 2 calls folded per analysis epoch (`--stream-window`).
-    /// `0` (the default) runs the batch pipeline; any positive window
-    /// routes through the streaming driver, whose final report is
-    /// byte-identical to the batch answer.
+    /// `0` (the default) runs the batch pipeline, whose stage 5 folds
+    /// the whole graph at once; any positive window routes through the
+    /// streaming driver, which runs the same fold one window of stage 2
+    /// calls per epoch, so its final report is byte-identical to the
+    /// batch answer.
     pub stream_window: usize,
 }
 

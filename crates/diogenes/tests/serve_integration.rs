@@ -173,6 +173,33 @@ fn serve_runs_sweeps_and_keys_them_separately() {
     daemon.join().expect("daemon exits");
 }
 
+/// A zero bandwidth fails the submission with a 400 naming the field,
+/// instead of running at the cost model's 1 B/µs floor.
+#[test]
+fn sweep_with_zero_bandwidth_is_rejected_at_submission() {
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        jobs: 1,
+        executors: 1,
+        cache_dir: None,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || server.run().expect("serve runs"));
+
+    let body = br#"{"app": "als",
+                    "axes": [{"field": "cost.pageable_bw_bytes_per_us", "values": [4000, 0]}]}"#;
+    let (status, resp) = request(addr, "POST", "/sweep", body);
+    let resp = String::from_utf8_lossy(&resp);
+    assert_eq!(status, 400, "{resp}");
+    assert!(resp.contains("cost.pageable_bw_bytes_per_us"), "{resp}");
+
+    let (status, _) = request(addr, "POST", "/shutdown", b"");
+    assert_eq!(status, 200);
+    daemon.join().expect("daemon exits");
+}
+
 /// The `POST /shutdown` reply must reach the client before the daemon
 /// process exits. Losing it was a race between the reply write and the
 /// accept loop's wake-up, so the check runs over several fresh daemons.

@@ -266,6 +266,11 @@ STREAM=$(mktemp -d)
 ./target/release/diogenes als --jobs 2 --stream-window 64 \
     --json "$STREAM/stream.json" > /dev/null
 cmp "$STREAM/batch.json" "$STREAM/stream.json"
+./target/release/diogenes cuibm --scale paper --jobs 2 \
+    --json "$STREAM/cuibm-batch.json" > /dev/null
+./target/release/diogenes cuibm --scale paper --jobs 2 --stream-window 4096 \
+    --json "$STREAM/cuibm-stream.json" > /dev/null
+cmp "$STREAM/cuibm-batch.json" "$STREAM/cuibm-stream.json"
 rm -rf "$STREAM"
 echo "streaming determinism ok"
 
