@@ -15,7 +15,6 @@ fn node(ntype: NType, duration: Ns, problem: Problem) -> Node {
         first_use_ns: None,
         call_seq: None,
         instance: None,
-        folded_sig: None,
         api: None,
         site: None,
         is_transfer: false,

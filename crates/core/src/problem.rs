@@ -134,7 +134,6 @@ mod tests {
             first_use_ns: None,
             call_seq: Some(0),
             instance: Some(OpInstance { sig, occ }),
-            folded_sig: Some(sig),
             api: Some(ApiFn::CudaFree),
             site: Some(SourceLoc::new("a.cpp", 1)),
             is_transfer,
