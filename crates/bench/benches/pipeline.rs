@@ -55,7 +55,7 @@ fn bench_figure6_8_path(c: &mut Criterion) {
     let prefix = graph.cpu_prefix();
     c.bench_function("figure6_8/sequence_family_merge_and_subsequence", |b| {
         b.iter(|| {
-            let fams = diogenes::merge_sequences(&r.report.analysis, &graph);
+            let fams = diogenes::merge_sequences(&r.report.analysis);
             fams.first().map(|f| {
                 diogenes::family_subsequence_benefit(&graph, &prefix, f, 1, f.entries.len())
             })

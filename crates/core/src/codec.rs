@@ -404,8 +404,8 @@ impl<W: std::io::Read + std::io::Write + std::io::Seek> FfbWriter<W> {
 }
 
 /// The one container parser: a validated borrowed view over a
-/// caller-owned buffer — a mapped file, a pooled disk read, or an
-/// in-place request body. [`FfbView::parse`] validates the header,
+/// caller-owned buffer — a file read, a cache entry, or an in-place
+/// request body. [`FfbView::parse`] validates the header,
 /// checksum, and section bounds once, allocating nothing (the section
 /// table is a fixed array); after that, section payloads, the interned
 /// string table ([`FfbView::strings_into`]), and typed columns
@@ -500,7 +500,7 @@ impl<'a> FfbView<'a> {
 
 /// A borrowed `u64` column over section bytes, validated once to be a
 /// whole number of words. Elements are read as little-endian per access,
-/// so the backing buffer — a mapped file, a request body — needs no
+/// so the backing buffer — a file read, a request body — needs no
 /// alignment; when the bytes *happen* to be 8-aligned on a little-endian
 /// host, [`ColU64::as_aligned`] exposes them as `&[u64]` wholesale and
 /// bulk copies become `memcpy`.
@@ -756,8 +756,8 @@ impl<'a> Dec<'a> {
 }
 
 fn append_u64s(dst: &mut Vec<u64>, col: ColU64<'_>) {
-    // Mapped/pooled buffers carry no alignment promise, but in practice
-    // most are page- or Vec-aligned; take the memcpy when available.
+    // Section payloads start at arbitrary offsets in their buffer, so
+    // there is no alignment promise; take the memcpy when it happens.
     match col.as_aligned() {
         Some(words) => dst.extend_from_slice(words),
         None => dst.extend(col.iter()),

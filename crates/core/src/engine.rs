@@ -621,20 +621,6 @@ pub fn run_stages(
     })
 }
 
-/// Content address of one per-window analysis epoch: the stage 5 key
-/// (which already folds in the app digest, analysis knobs and every
-/// upstream dep key) extended with the window size and epoch ordinal.
-/// Distinct windowings address distinct epoch chains; the final analysis
-/// itself lives at the plain stage 5 key, since it is byte-identical to
-/// the batch artifact regardless of windowing.
-pub fn epoch_key(stage5: StageKey, window: usize, epoch: usize) -> StageKey {
-    let mut h = KeyHasher::new("stage5-epoch");
-    h.push_key(stage5);
-    h.push_u64(window as u64);
-    h.push_u64(epoch as u64);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -821,21 +807,6 @@ mod tests {
         assert_eq!(warm.misses, cold.misses + 1, "only stage5 missed");
         assert_eq!(full.stage1.exec_time_ns, col.stage1.exec_time_ns);
         assert_eq!(full.stage2.calls.len(), col.stage2.calls.len());
-    }
-
-    #[test]
-    fn epoch_keys_are_distinct_and_anchored_to_stage5() {
-        let cfg = FfmConfig::default();
-        let s5 = plan_keys(&Tiny, &cfg)[StageId::Stage5.index()];
-        let mut seen = HashSet::new();
-        seen.insert(s5);
-        for window in [64usize, 256] {
-            for epoch in 0..4 {
-                assert!(seen.insert(epoch_key(s5, window, epoch)), "w={window} e={epoch}");
-            }
-        }
-        let other = plan_keys(&Tiny2, &cfg)[StageId::Stage5.index()];
-        assert_ne!(epoch_key(s5, 64, 0), epoch_key(other, 64, 0));
     }
 
     #[test]

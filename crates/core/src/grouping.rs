@@ -250,6 +250,9 @@ pub struct SeqEntry {
     pub index: usize,
     /// Graph node index.
     pub node: usize,
+    /// Traced call the node came from (a call's launch and wait nodes
+    /// share it; `None` for nodes without a call).
+    pub call_seq: Option<usize>,
     pub api: Option<ApiFn>,
     pub site: Option<SourceLoc>,
     pub problem: Problem,
@@ -585,6 +588,7 @@ impl IncrementalAnalysis {
                 .map(|(k, i)| SeqEntry {
                     index: k + 1,
                     node: i,
+                    call_seq: graph.nodes[i].call_seq,
                     api: graph.nodes[i].api,
                     site: graph.nodes[i].site,
                     problem: graph.nodes[i].problem,
@@ -1028,6 +1032,7 @@ mod tests {
                     .map(|(k, i)| SeqEntry {
                         index: k + 1,
                         node: i,
+                        call_seq: graph.nodes[i].call_seq,
                         api: graph.nodes[i].api,
                         site: graph.nodes[i].site,
                         problem: graph.nodes[i].problem,
@@ -1096,7 +1101,7 @@ mod tests {
                 (y.start, y.end, y.benefit_ns),
                 "{ctx}: sequence span"
             );
-            let entry = |e: &SeqEntry| (e.index, e.node, e.api, e.problem);
+            let entry = |e: &SeqEntry| (e.index, e.node, e.call_seq, e.api, e.problem);
             assert_eq!(
                 x.entries.iter().map(entry).collect::<Vec<_>>(),
                 y.entries.iter().map(entry).collect::<Vec<_>>(),

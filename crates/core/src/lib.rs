@@ -70,7 +70,6 @@ pub mod export;
 pub mod graph;
 pub mod grouping;
 pub mod intern;
-pub mod iobuf;
 pub mod json;
 pub mod log;
 pub mod metrics;
@@ -93,9 +92,7 @@ pub use codec::{
     ColF64, ColU64, FfbView, FfbWriter, StrTable, SweepCellCols, SweepHeaderRef, KIND_DOC,
     KIND_SWEEP,
 };
-pub use engine::{
-    declared_fields, deps, epoch_key, plan_keys, run_stages, stage_key, StageId, StageOutputs,
-};
+pub use engine::{declared_fields, deps, plan_keys, run_stages, stage_key, StageId, StageOutputs};
 pub use export::{analysis_to_json, report_to_json};
 pub use graph::{Csr, ExecGraph, GraphBuilder, NType, Node};
 pub use grouping::{

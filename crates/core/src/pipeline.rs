@@ -48,13 +48,13 @@ use gpu_sim::{CostModel, Ns};
 use instrument::Discovery;
 
 use crate::analysis::{build_graph, Analysis, AnalysisConfig};
-use crate::engine::{epoch_key, run_stages, StageOutputs};
+use crate::engine::{run_stages, StageOutputs};
 use crate::graph::{ExecGraph, GraphBuilder};
 use crate::grouping::IncrementalAnalysis;
 use crate::par::effective_jobs;
 use crate::problem::{classify_range, ClassifyConfig};
 use crate::records::{Stage1Result, Stage2Result, Stage3Result, Stage4Result};
-use crate::store::{Artifact, ArtifactStore, StageKey};
+use crate::store::{Artifact, ArtifactStore};
 use crate::telemetry;
 
 /// Pipeline configuration.
@@ -234,8 +234,6 @@ pub struct EpochSnapshot<'a> {
     pub calls_consumed: usize,
     /// Graph nodes materialized so far.
     pub nodes: usize,
-    /// Content address of this epoch ([`epoch_key`]).
-    pub key: StageKey,
     /// The analysis of everything folded so far.
     pub analysis: &'a Analysis,
 }
@@ -254,10 +252,11 @@ pub fn run_ffm_streaming(
 
 /// The streaming pipeline: run the collection stages, then interleave
 /// graph building with windowed incremental analysis, publishing an
-/// [`EpochSnapshot`] (and a content-addressed store entry) after every
-/// `window` consumed stage 2 calls. The final epoch carries the finished
-/// analysis, which is also stored under the plain stage 5 key — so a
-/// later batch run of the same plan is a warm cache hit.
+/// [`EpochSnapshot`] to `on_epoch` after every `window` consumed stage 2
+/// calls. Intermediate epochs are published, not stored. The final epoch
+/// carries the finished analysis, which is also stored under the plain
+/// stage 5 key — so a later batch run of the same plan is a warm cache
+/// hit.
 pub fn run_ffm_streaming_with_store(
     app: &dyn GpuApp,
     cfg: &FfmConfig,
@@ -294,8 +293,9 @@ fn drive(
 
 /// Stage 5 of a streaming run: build the graph window by window, fold
 /// each window into the one [`IncrementalAnalysis`], and publish a
-/// snapshot per epoch. The finished analysis is identical to the batch
-/// one and is stored under the plain stage 5 key.
+/// snapshot per epoch to the subscriber. The finished analysis is
+/// identical to the batch one and is the only one stored, under the
+/// plain stage 5 key.
 fn stream_analysis(
     out: &StageOutputs,
     cfg: &FfmConfig,
@@ -312,9 +312,6 @@ fn stream_analysis(
     let mut epoch = 0usize;
     let mut publish = |snapshot: &EpochSnapshot<'_>| {
         telemetry::counter_add("stream.epochs", 1);
-        if let Some(store) = store {
-            store.put(snapshot.key, Artifact::Analysis(Arc::new(snapshot.analysis.clone())));
-        }
         on_epoch(snapshot);
     };
     let mut consumed = 0usize;
@@ -338,7 +335,6 @@ fn stream_analysis(
                 epoch,
                 calls_consumed: consumed,
                 nodes: analysis.graph_nodes,
-                key: epoch_key(out.stage5_key, window, epoch),
                 analysis: &analysis,
             });
             epoch += 1;
@@ -358,7 +354,6 @@ fn stream_analysis(
         epoch,
         calls_consumed: calls.len(),
         nodes: analysis.graph_nodes,
-        key: epoch_key(out.stage5_key, window, epoch),
         analysis: &analysis,
     });
     analysis

@@ -532,7 +532,7 @@ const MERGE_HEADER_KEYS: [&str; 5] = ["app", "workload", "layout", "axes", "tota
 /// Incremental shard merge: feed shard documents one at a time —
 /// parsed JSON via [`SweepMergeFold::add_doc`], binary sweep containers
 /// via [`SweepMergeFold::add_ffb`] (which reads header and cells
-/// straight out of the mapped/pooled file bytes through
+/// straight out of the shard's file bytes through
 /// [`codec::FfbView`], never materializing an owned document) — then
 /// [`SweepMergeFold::finish`]. Produces the document an unsharded run
 /// would have, byte-identically once rendered, regardless of how each

@@ -363,7 +363,7 @@ proptest! {
     }
 
     /// The artifact decoder accepts a container at any buffer alignment
-    /// (mapped files and socket bodies make no alignment promises) and
+    /// (file buffers and socket bodies make no alignment promises) and
     /// reject every truncation and every corruption outside the
     /// checksum-exempt build-tag bytes — without panicking or reading
     /// out of bounds at any offset.

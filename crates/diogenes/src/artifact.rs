@@ -171,11 +171,8 @@ pub fn write_sweep(
 /// Load a document from `path`, sniffing the format from the file bytes
 /// (FFB magic → binary decode, anything else → JSON parse).
 pub fn load_doc(path: &str) -> Result<Json, String> {
-    // Zero-copy ingestion: the file is mmapped when the platform allows,
-    // with a pooled-buffer read fallback; either way decode borrows
-    // straight out of the buffer.
-    let bytes = ffm_core::iobuf::read_file(Path::new(path))
-        .map_err(|e| format!("cannot read {path}: {e}"))?;
+    // One owned buffer per input; decode borrows straight out of it.
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if is_ffb(&bytes) {
         decode_any_doc(&bytes).map_err(|e| format!("{path}: {e}"))
     } else {

@@ -129,11 +129,6 @@ pub fn read_request_buffered<R: Read>(
     carry: &mut Vec<u8>,
 ) -> Result<Option<Request>, String> {
     let mut buf: Vec<u8> = std::mem::take(carry);
-    if buf.capacity() == 0 {
-        // Fresh connection: start from the ingest pool so keep-alive
-        // servers recycle head buffers instead of allocating per request.
-        buf = ffm_core::iobuf::acquire().into_inner();
-    }
     buf.reserve(1024);
     let mut chunk = [0u8; 4096];
     let head_len = loop {
@@ -186,26 +181,18 @@ pub fn read_request_buffered<R: Read>(
         return Err("request body exceeds limit".to_string());
     }
 
-    // Whatever followed the head in the buffer is the body's prefix.
-    // The body lands in a pooled buffer so the handler can decode the
-    // FFB payload in place and hand the buffer back afterwards (see
-    // `ffm_core::iobuf::release`).
-    let mut body = ffm_core::iobuf::acquire().into_inner();
-    body.extend_from_slice(&buf[head_len + 4..]);
-    buf.truncate(head_len);
-    // The head buffer's job is done — recycle it for the next connection.
-    ffm_core::iobuf::release(buf);
+    // Whatever followed the head in the buffer is the body's prefix; the
+    // handler decodes the FFB payload in place from the body buffer.
+    let mut body = buf.split_off(head_len + 4);
     while body.len() < content_length {
         let n = stream.read(&mut chunk).map_err(|e| format!("read body: {e}"))?;
         if n == 0 {
-            ffm_core::iobuf::release(body);
             return Err("connection closed mid-body".to_string());
         }
         body.extend_from_slice(&chunk[..n]);
     }
     // Bytes past the body belong to the next pipelined request.
-    carry.extend_from_slice(&body[content_length..]);
-    body.truncate(content_length);
+    *carry = body.split_off(content_length);
 
     Ok(Some(Request { method, path, query, headers, body }))
 }

@@ -48,15 +48,16 @@ pub struct SequenceFamily {
 
 /// Build the display entries of one sequence, merging launch+wait nodes
 /// that came from the same traced call.
-fn display_entries(graph: &ExecGraph, seq: &Sequence) -> Vec<FamilyEntry> {
+fn display_entries(seq: &Sequence) -> Vec<FamilyEntry> {
     let mut out: Vec<FamilyEntry> = Vec::new();
+    let mut prev_call = None;
     for e in &seq.entries {
-        let node = &graph.nodes[e.node];
-        let call = node.call_seq;
         let sync = e.problem.is_sync();
         let transfer = e.problem == Problem::UnnecessaryTransfer;
+        let same_call = e.call_seq.is_some() && e.call_seq == prev_call;
+        prev_call = e.call_seq;
         match out.last_mut() {
-            Some(last) if call.is_some() && graph.nodes[last.last_node].call_seq == call => {
+            Some(last) if same_call => {
                 last.is_sync_issue |= sync;
                 last.is_transfer_issue |= transfer;
                 last.last_node = e.node;
@@ -89,9 +90,8 @@ fn pattern_key(seq: &Sequence) -> u64 {
 }
 
 /// Merge an analysis' sequences into families, sorted by total benefit.
-/// `graph` is the classified graph the analysis ran over
-/// ([`ffm_core::FfmReport::exec_graph`]).
-pub fn merge_sequences(analysis: &Analysis, graph: &ExecGraph) -> Vec<SequenceFamily> {
+/// Needs no graph: each sequence entry carries its node's traced call.
+pub fn merge_sequences(analysis: &Analysis) -> Vec<SequenceFamily> {
     let mut families: Vec<SequenceFamily> = Vec::new();
     for seq in &analysis.sequences {
         let key = pattern_key(seq);
@@ -105,7 +105,7 @@ pub fn merge_sequences(analysis: &Analysis, graph: &ExecGraph) -> Vec<SequenceFa
                 pattern_key: key,
                 occurrences: 1,
                 total_benefit_ns: seq.benefit_ns,
-                entries: display_entries(graph, seq),
+                entries: display_entries(seq),
                 sync_issues: seq.sync_issues(),
                 transfer_issues: seq.transfer_issues(),
                 representative: seq.clone(),

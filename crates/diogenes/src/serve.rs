@@ -656,7 +656,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, self_addr: std::net
     // pipelined surplus bytes from one read into the next.
     let mut carry = Vec::new();
     for exchange in 0..MAX_KEEPALIVE_EXCHANGES {
-        let mut req = match read_request_buffered(&mut stream, &mut carry) {
+        let req = match read_request_buffered(&mut stream, &mut carry) {
             Ok(Some(req)) => req,
             Ok(None) => return, // clean close (probe, shutdown self-connect, or drained keep-alive)
             Err(e) => {
@@ -681,10 +681,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, self_addr: std::net
         shared.routes[ri].hist.lock().unwrap().record(elapsed_ns);
         shared.bytes_served.fetch_add(body.len() as u64, Ordering::Relaxed);
         let keep_alive = wants_keep_alive(&req) && exchange + 1 < MAX_KEEPALIVE_EXCHANGES;
-        // The submission was decoded in place from the pooled body
-        // buffer; the response is out, so recycle it for the next
-        // request on this (or any) connection.
-        ffm_core::iobuf::release(std::mem::take(&mut req.body));
         let sent = write_response_conn(&mut stream, status, content_type, &body, keep_alive);
         if (req.method.as_str(), req.path.as_str()) == ("POST", "/shutdown") {
             // Unblock the accept loop so `run` observes the draining
@@ -1193,24 +1189,6 @@ fn render_metrics(shared: &Shared) -> String {
     p.sample("diogenes_cache_puts_total", &[], cache.puts);
     p.family("diogenes_cache_live_claims", "gauge", "Disk claims currently held.");
     p.sample("diogenes_cache_live_claims", &[], shared.store.live_claims() as u64);
-
-    // -- Ingest buffers ----------------------------------------------------
-    let ingest = ffm_core::iobuf::stats();
-    p.family(
-        "diogenes_ingest_buffer_reuse_total",
-        "counter",
-        "Ingest buffers recycled from the pool instead of allocated.",
-    );
-    p.sample("diogenes_ingest_buffer_reuse_total", &[], ingest.buffer_reuse);
-    p.family("diogenes_ingest_buffer_allocs_total", "counter", "Ingest buffers newly allocated.");
-    p.sample("diogenes_ingest_buffer_allocs_total", &[], ingest.buffer_allocs);
-    p.family(
-        "diogenes_ingest_reads_total",
-        "counter",
-        "Artifact file ingests, by path (mmap vs pooled read fallback).",
-    );
-    p.sample("diogenes_ingest_reads_total", &[("path", "mmap")], ingest.mapped_reads);
-    p.sample("diogenes_ingest_reads_total", &[("path", "read")], ingest.fallback_reads);
 
     // -- Gathered telemetry: stage latency summaries + counters ------------
     let totals = telemetry::gather_metrics();

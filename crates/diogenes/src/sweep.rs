@@ -150,13 +150,11 @@ pub fn merge_shard_files(paths: &[String]) -> Result<Json, String> {
     }
     let mut fold = SweepMergeFold::new();
     for p in paths {
-        // Each shard is mapped (or read into a pooled buffer), validated
-        // once, and folded in place: binary sweep shards go header+cells
-        // straight off the buffer via `FfbView`, so no owned document is
-        // ever built for them. The buffer is unmapped/recycled before the
-        // next shard.
-        let bytes = ffm_core::iobuf::read_file(std::path::Path::new(p))
-            .map_err(|e| format!("cannot read {p}: {e}"))?;
+        // Each shard is read into one owned buffer, validated once, and
+        // folded in place: binary sweep shards go header+cells straight
+        // off the buffer via `FfbView`, so no owned document is ever
+        // built for them. The buffer is dropped before the next shard.
+        let bytes = std::fs::read(p).map_err(|e| format!("cannot read {p}: {e}"))?;
         if is_ffb(&bytes) {
             let view = FfbView::parse(&bytes).map_err(|e| format!("{p}: {e}"))?;
             fold.add_ffb(&view).map_err(|e| format!("{p}: {e}"))?;

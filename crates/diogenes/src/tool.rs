@@ -70,8 +70,7 @@ pub fn run_diogenes(app: &dyn GpuApp, config: DiogenesConfig) -> CudaResult<Diog
     } else {
         run_ffm(app, &config.ffm)?
     };
-    let graph = report.exec_graph(&config.ffm.analysis.classify);
-    let families = merge_sequences(&report.analysis, &graph);
+    let families = merge_sequences(&report.analysis);
     Ok(DiogenesResult { report, families, config })
 }
 
